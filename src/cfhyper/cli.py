@@ -114,11 +114,13 @@ def color(algo: str, colors: int | None, seed: int, max_resamples: int,
         coloring = color_4uniform(h)
     elif algo == "lll":
         if colors is None:
-            st = stats(h)
-            if st.uniform_r is None:
+            # one color serves no edges or edges of size 1; color_bound is
+            # monotone in the degree, so its value at 2 covers degree 1
+            r = h.uniform_r
+            if h.m and r is None:
                 raise HypergraphError(
                     "default palette needs a uniform hypergraph; pass --colors")
-            colors = color_bound(st.uniform_r, st.max_degree)
+            colors = 1 if r in (None, 1) else color_bound(r, max(h.max_degree, 2))
         maybe = randomized_cf_coloring(
             h, LLLParams(k=colors, seed=seed, max_rounds=max_resamples))
         if maybe is None:

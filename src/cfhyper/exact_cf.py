@@ -67,7 +67,7 @@ def chi_cf_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
     call never returns None.
     """
     if k_max is None:
-        k_max = max(h.vertex_degrees(), default=0) + 1
+        k_max = h.max_degree + 1
     return _chi_exact(h, k_max, kernels.CONFLICT_FREE)
 
 

@@ -11,6 +11,7 @@ The duality bridge turns a {1, r-1}-factor of the dual graph of a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -86,27 +87,13 @@ def parity_precheck(g: Hypergraph, a: int, b: int) -> ParityObstruction | None:
     _check_targets(a, b)
     if a % 2 == 0 or b % 2 == 0:
         return None
-    seen = [False] * (g.n + 1)
-    adj = [[] for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for start in range(1, g.n + 1):
-        if seen[start]:
-            continue
-        component = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if len(component) % 2 == 1:
-            return ParityObstruction(tuple(sorted(component)))
-    return None
+    label = g.component_labels()
+    sizes = Counter(label[1:])
+    # labels are smallest vertices, so this is the first odd component
+    odd = min((c for c, size in sizes.items() if size % 2), default=None)
+    if odd is None:
+        return None
+    return ParityObstruction(tuple(v for v in range(1, g.n + 1) if label[v] == odd))
 
 
 def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:
@@ -398,13 +385,11 @@ def cf2_via_duality(h: Hypergraph, budget: int = DEFAULT_BUDGET) -> Coloring | N
     The hypergraph 2-colors conflict-freely exactly when its dual r-regular
     graph has a {1, r-1}-factor; vertices matching factor edges get color 1.
     """
-    degrees = h.vertex_degrees()
-    if h.n == 0 or any(d != 2 for d in degrees):
+    if h.regular_a != 2:
         raise HypergraphError("duality coloring requires a 2-regular hypergraph")
-    sizes = {len(e) for e in h.edges}
-    if len(sizes) != 1:
+    r = h.uniform_r
+    if r is None:
         raise HypergraphError("duality coloring requires a uniform hypergraph")
-    r = sizes.pop()
     if r < 2:
         raise HypergraphError(f"uniformity must be >= 2, got {r}")
     graph = dual(h)

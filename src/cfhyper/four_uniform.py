@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .exact_cf import cf_colorable
 from .factors import cf2_via_duality
 from .greedy import peel_then_solve
-from .model import Hypergraph, HypergraphError, primal_adjacency, remove_vertices, stats
+from .model import Hypergraph, HypergraphError, primal_adjacency, remove_vertices
 from .verify import Coloring
 
 
@@ -114,7 +114,7 @@ def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:
 
 def _keeps_connected(h: Hypergraph, removed: frozenset[int]) -> bool:
     shrunk, _ = remove_vertices(h, removed)
-    return stats(shrunk).connected
+    return shrunk.connected
 
 
 def safe_separator(h: Hypergraph) -> Separator:
@@ -131,12 +131,11 @@ def safe_separator(h: Hypergraph) -> Separator:
     as a last resort every (edge, kept vertex) choice is tested. With a
     single edge, everything but its largest vertex is removed.
     """
-    st = stats(h)
     if h.m < 1:
         raise HypergraphError("separator needs at least one edge")
-    if st.uniform_r is None:
+    if h.uniform_r is None:
         raise HypergraphError("separator requires a uniform hypergraph")
-    if not st.connected:
+    if not h.connected:
         raise HypergraphError("separator requires a connected hypergraph")
 
     if h.m == 1:
@@ -231,12 +230,11 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
     """
     if h.m == 0:
         return Coloring(tuple([1] * h.n))
-    st = stats(h)
-    if st.uniform_r != 4:
+    if h.uniform_r != 4:
         raise HypergraphError("three-coloring requires a 4-uniform hypergraph")
-    if st.max_degree > 3:
+    if h.max_degree > 3:
         raise HypergraphError(
-            f"three-coloring requires max degree <= 3, got {st.max_degree}")
+            f"three-coloring requires max degree <= 3, got {h.max_degree}")
     sep = safe_separator(h)
     ordering = elimination_ordering(h, sep)
     pos = {v: i for i, v in enumerate(ordering.order, start=1)}
@@ -278,28 +276,15 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
 
 
 def _connected_components(h: Hypergraph) -> list[tuple[list[int], list[int]]]:
-    """(sorted vertices, sorted 1-based edge indices) per component."""
-    adj = primal_adjacency(h)
-    incident = h.incident_edges()
-    seen = [False] * (h.n + 1)
-    out = []
-    for start in range(1, h.n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue: deque[int] = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        edge_ids = sorted({e for v in comp for e in incident[v]})
-        out.append((comp, edge_ids))
-    return out
+    """(sorted vertices, sorted 1-based edge indices) per component, in
+    the order of their smallest vertices."""
+    label = h.component_labels()
+    comps: dict[int, tuple[list[int], list[int]]] = {}
+    for v in range(1, h.n + 1):
+        comps.setdefault(label[v], ([], []))[0].append(v)
+    for idx, edge in enumerate(h.edges, start=1):
+        comps[label[edge[0]]][1].append(idx)
+    return list(comps.values())
 
 
 def _map_components(
@@ -326,10 +311,9 @@ def color_4uniform(h: Hypergraph) -> Coloring:
     3-colored per component. At max degree <= 2 the exact characterization
     supplies an optimal coloring instead.
     """
-    st = stats(h)
-    if h.m > 0 and st.uniform_r != 4:
+    if h.m > 0 and h.uniform_r != 4:
         raise HypergraphError("expected a 4-uniform hypergraph")
-    if st.max_degree >= 3:
+    if h.max_degree >= 3:
         return peel_then_solve(
             h, 3, lambda rest: _map_components(rest, three_color_4uniform))
     return _map_components(h, lambda sub: characterize_4uniform(sub).coloring)
@@ -353,25 +337,24 @@ def characterize_4uniform(h: Hypergraph) -> Characterization:
     is still verified and a failure raises, since it would contradict the
     degree structure.
     """
-    st = stats(h)
     if h.m == 0:
         return Characterization(1 if h.n else 0, Coloring(tuple([1] * h.n)))
-    if st.uniform_r != 4:
+    if h.uniform_r != 4:
         raise HypergraphError("characterization requires a 4-uniform hypergraph")
-    if not st.connected:
+    if not h.connected:
         raise HypergraphError("characterization requires a connected hypergraph")
-    if st.max_degree > 2:
+    if h.max_degree > 2:
         raise HypergraphError(
-            f"characterization requires max degree <= 2, got {st.max_degree}")
+            f"characterization requires max degree <= 2, got {h.max_degree}")
 
-    if st.max_degree == 1:
+    if h.max_degree == 1:
         # connected with positive degree everywhere means a single edge
         edge = h.edge(1)
         colors = [2] * (h.n + 1)
         colors[edge[0]] = 1
         return Characterization(2, Coloring(tuple(colors[1:])))
 
-    if st.regular_a == 2:
+    if h.regular_a == 2:
         two = cf2_via_duality(h)
         if two is not None:
             return Characterization(2, two)

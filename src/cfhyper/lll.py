@@ -6,10 +6,18 @@ lowest-index such edge is fully recolored. Above the palette bound
 returned by color_bound the expected number of resampling rounds is small
 (Moser-Tardos style behavior), and any accepted coloring has more than r/2
 distinct colors on every edge, hence a uniquely colored vertex in each.
+
+A worklist (Moser and Tardos, JACM 2010) replaces a rescan of all edges
+each round: a heap holding every violated edge index, plus stale ones that
+are dropped on reaching the top. A resample can change only the edges
+through the recolored vertices, so only those are checked again. The
+rounds and colorings are those of the full rescan, and the incidence is
+built only once some edge is violated.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -49,13 +57,6 @@ def color_bound(r: int, max_degree: int) -> int:
     return math.ceil(value)
 
 
-def _uniformity(h: Hypergraph) -> int:
-    sizes = {len(e) for e in h.edges}
-    if len(sizes) != 1:
-        raise HypergraphError("randomized coloring requires a uniform hypergraph")
-    return sizes.pop()
-
-
 def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     """Sample and resample until every edge has more than r/2 distinct colors.
 
@@ -67,7 +68,9 @@ def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     """
     if h.m == 0:
         return Coloring(tuple([1] * h.n))
-    r = _uniformity(h)
+    r = h.uniform_r
+    if r is None:
+        raise HypergraphError("randomized coloring requires a uniform hypergraph")
     threshold = r // 2  # "at most r/2 distinct" means <= floor(r/2)
     if min(params.k, r) <= threshold:
         # no edge can ever exceed the threshold, so the cap is certain to hit
@@ -75,20 +78,29 @@ def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     rng = random.Random(params.seed)
     k = params.k
     colors = [0] + [rng.randint(1, k) for _ in range(h.n)]
+    edges = h.edges
 
-    def violated(edge: tuple[int, ...]) -> bool:
-        return len({colors[v] for v in edge}) <= threshold
+    def violated(idx: int) -> bool:
+        return len({colors[v] for v in edges[idx - 1]}) <= threshold
 
+    # ascending, hence already a heap; `queued` mirrors its contents
+    worklist = [idx for idx in range(1, h.m + 1) if violated(idx)]
+    queued = set(worklist)
+    incident = h.incident_edges() if worklist else []
     rounds = 0
-    while True:
-        bad = next(
-            (e for e in h.edges if violated(e)),
-            None,
-        )
-        if bad is None:
-            return Coloring(tuple(colors[1:]))
+    while worklist:
+        idx = heapq.heappop(worklist)
+        queued.discard(idx)
+        if not violated(idx):
+            continue
         rounds += 1
         if rounds > params.max_rounds:
             return None
+        bad = edges[idx - 1]
         for v in bad:
             colors[v] = rng.randint(1, k)
+        for f in {f for v in bad for f in incident[v]} - queued:
+            if violated(f):
+                queued.add(f)
+                heapq.heappush(worklist, f)
+    return Coloring(tuple(colors[1:]))

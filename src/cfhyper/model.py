@@ -3,13 +3,17 @@
 Vertices are dense 1-based integers. Edges are stored as strictly sorted
 tuples; the edge list is ordered and may contain duplicates (multiset
 semantics), so 2-uniform hypergraphs double as multigraphs. All values are
-immutable and every operation is a pure function.
+immutable and every operation is a pure function. The statistics of a
+Hypergraph (max degree, uniformity, regularity, connectivity, max edge
+degree) are computed on first read and cached on the instance; since the
+instance never changes, a cached value cannot go stale.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 
@@ -24,6 +28,13 @@ class Hypergraph:
     Invariants: every vertex id lies in 1..n, no vertex repeats inside an
     edge, and every edge is nonempty. Edge indices are 1-based positions in
     the edge list.
+
+    The statistics ``max_degree``, ``uniform_r``, ``regular_a``,
+    ``connected`` and ``max_edge_degree`` (see HypergraphStats) are lazy:
+    each is computed when first read and cached on the instance, outside
+    the dataclass fields, so equality and hashing ignore it. A Hypergraph
+    is immutable, so the cache cannot go stale. ``max_edge_degree`` costs
+    by far the most; read only the statistics you need.
     """
 
     n: int
@@ -68,6 +79,65 @@ class Hypergraph:
             for v in edge:
                 deg[v] += 1
         return deg[1:]
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max(self.vertex_degrees(), default=0)
+
+    @cached_property
+    def uniform_r(self) -> int | None:
+        """The common edge size; None when sizes differ or m == 0."""
+        sizes = {len(e) for e in self.edges}
+        return sizes.pop() if len(sizes) == 1 else None
+
+    @cached_property
+    def regular_a(self) -> int | None:
+        """The common vertex degree; None when degrees differ or n == 0."""
+        degrees = set(self.vertex_degrees())
+        return degrees.pop() if len(degrees) == 1 else None
+
+    @cached_property
+    def connected(self) -> bool:
+        """True when edges chain every two vertices (always for n <= 1)."""
+        return max(self.component_labels()) <= 1
+
+    def component_labels(self) -> list[int]:
+        """Per vertex id, the smallest vertex of its connected component
+        (entry 0 is a placeholder)."""
+        label = list(range(self.n + 1))
+
+        def find(v: int) -> int:
+            while label[v] != v:
+                label[v] = label[label[v]]
+                v = label[v]
+            return v
+
+        for edge in self.edges:
+            for v in edge[1:]:
+                a, b = find(edge[0]), find(v)
+                label[max(a, b)] = min(a, b)
+        return [find(v) for v in range(self.n + 1)]
+
+    @cached_property
+    def max_edge_degree(self) -> int:
+        """For the worst edge, the other edges sharing a vertex with it.
+
+        One bitmask of incident edges per vertex (n * m / 8 bytes); an
+        edge's count is the popcount of its vertices' union, minus itself.
+        Each byte row is freed as soon as it becomes a mask.
+        """
+        rows: list[bytearray | None] = [
+            bytearray((self.m + 7) // 8) for _ in range(self.n + 1)]
+        for i, edge in enumerate(self.edges):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for v in edge:
+                rows[v][byte] |= bit
+        masks = []
+        for v in range(self.n + 1):
+            masks.append(int.from_bytes(rows[v], "little"))
+            rows[v] = None
+        return max((reduce(or_, map(masks.__getitem__, e)).bit_count()
+                    for e in self.edges), default=1) - 1
 
     def incident_edges(self) -> list[list[int]]:
         """For each vertex 1..n, the sorted list of 1-based incident edge indices.
@@ -147,64 +217,12 @@ def primal_adjacency(h: Hypergraph) -> list[list[int]]:
     return [sorted(s) for s in adj]
 
 
-def _star_adjacency(h: Hypergraph) -> list[list[int]]:
-    # spanning star per edge: same reachability as the primal graph,
-    # linear size even for huge edges
-    adj: list[set[int]] = [set() for _ in range(h.n + 1)]
-    for edge in h.edges:
-        anchor = edge[0]
-        for v in edge[1:]:
-            adj[anchor].add(v)
-            adj[v].add(anchor)
-    return [sorted(s) for s in adj]
-
-
-def _connected(h: Hypergraph) -> bool:
-    if h.n <= 1:
-        return True
-    adj = _star_adjacency(h)
-    seen = [False] * (h.n + 1)
-    queue: deque[int] = deque([1])
-    seen[1] = True
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == h.n
-
-
 def stats(h: Hypergraph) -> HypergraphStats:
-    """Compute size, degree, uniformity, regularity, and connectivity data."""
-    degrees = h.vertex_degrees()
-    max_degree = max(degrees, default=0)
-
-    inc = h.incident_edges()
-    max_edge_degree = 0
-    for idx, edge in enumerate(h.edges, start=1):
-        touching: set[int] = set()
-        for v in edge:
-            touching.update(inc[v])
-        touching.discard(idx)
-        if len(touching) > max_edge_degree:
-            max_edge_degree = len(touching)
-
-    sizes = {len(e) for e in h.edges}
-    uniform_r = sizes.pop() if len(sizes) == 1 else None
-    regular_a = degrees[0] if h.n > 0 and len(set(degrees)) == 1 else None
-
-    return HypergraphStats(
-        n=h.n,
-        m=h.m,
-        max_degree=max_degree,
-        max_edge_degree=max_edge_degree,
-        uniform_r=uniform_r,
-        regular_a=regular_a,
-        connected=_connected(h),
-    )
+    """Every statistic of h, as the ``stats`` command prints them. This
+    includes ``max_edge_degree``; code needing fewer statistics reads the
+    properties of h instead."""
+    return HypergraphStats(h.n, h.m, h.max_degree, h.max_edge_degree,
+                           h.uniform_r, h.regular_a, h.connected)
 
 
 def dual(h: Hypergraph) -> Hypergraph:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from cfhyper import Hypergraph, stats
+from cfhyper import Hypergraph
 from cfhyper.four_uniform import _connected_components
 
 
@@ -72,8 +72,7 @@ def connected_4uniform_corpus(
         h = largest_component(random_uniform_hypergraph(rng, n, 4, 3, m_target))
         if h.m < 2:
             continue
-        st = stats(h)
-        if st.max_degree != 3 or not st.connected or st.n > n_max:
+        if h.max_degree != 3 or not h.connected or h.n > n_max:
             continue
         out.append(h)
     return tuple(out)

@@ -1,6 +1,19 @@
-from cfhyper import load_coloring, load_factor, load_hypergraph
+import random
+
+import pytest
+
+from cfhyper import (
+    Hypergraph,
+    color_bound,
+    load_coloring,
+    load_factor,
+    load_hypergraph,
+    save_hypergraph,
+)
 from cfhyper.cli import main
 from cfhyper.constructions import build_g_tr
+
+from corpus import connected_4uniform_corpus, random_uniform_hypergraph
 
 
 def run(capsys, *argv):
@@ -166,6 +179,57 @@ def test_color_lll_exhausted(tmp_path, capsys):
                        "-o", str(tmp_path / "e.col"))
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("text, palette", [
+    # a perfect matching: max degree 1, covered by the bound at degree 2
+    ("hypergraph 6 3\n1 2\n3 4\n5 6\n", color_bound(2, 2)),
+    # a 1-uniform hypergraph: its one vertex is unique in every edge
+    ("hypergraph 3 4\n1\n2\n3\n3\n", 1),
+    # no edges at all
+    ("hypergraph 3 0\n", 1),
+])
+def test_color_lll_default_palette_edge_cases(tmp_path, capsys, text, palette):
+    hg = tmp_path / "x.hg"
+    col = tmp_path / "x.col"
+    hg.write_text(text)
+    code, _, err = run(capsys, "color", "--algo", "lll", str(hg), "-o", str(col))
+    assert (code, err) == (0, "")
+    assert load_coloring(col.read_text()).palette <= palette
+    assert run(capsys, "verify", str(hg), str(col)) == (0, "", "")
+
+
+def test_color_lll_default_palette_nonuniform(tmp_path, capsys):
+    hg = tmp_path / "x.hg"
+    hg.write_text("hypergraph 3 2\n1 2\n1 2 3\n")
+    code, _, err = run(capsys, "color", "--algo", "lll", str(hg),
+                       "-o", str(tmp_path / "x.col"))
+    assert code == 65
+    assert "uniform" in err
+
+
+def test_coloring_never_computes_edge_degree(tmp_path, capsys, monkeypatch):
+    col = tmp_path / "x.col"
+    lll = tmp_path / "lll.hg"
+    lll.write_text(save_hypergraph(
+        random_uniform_hypergraph(random.Random(3), 200, 8, 30, 600)))
+    # the 4-uniform corpus has max degree 3; the second one peels degree 5
+    four = [connected_4uniform_corpus()[0],
+            random_uniform_hypergraph(random.Random(4), 60, 4, 5, 70)]
+    for i, h in enumerate(four):
+        (tmp_path / f"four{i}.hg").write_text(save_hypergraph(h))
+
+    def refuse(self):
+        raise AssertionError("max_edge_degree computed")
+
+    monkeypatch.setattr(Hypergraph, "max_edge_degree", property(refuse))
+    assert run(capsys, "color", "--algo", "lll", str(lll), "-o", str(col))[0] == 0
+    for i in range(len(four)):
+        assert run(capsys, "color", "--algo", "four",
+                   str(tmp_path / f"four{i}.hg"), "-o", str(col))[0] == 0
+    # the patch is live: the stats command does read the edge degree
+    with pytest.raises(AssertionError, match="max_edge_degree"):
+        main(["stats", str(lll)])
 
 
 def test_verify_reports_bad_edges(tmp_path, capsys):

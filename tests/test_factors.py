@@ -42,6 +42,15 @@ def test_parity_precheck_componentwise():
     assert cert is not None and cert.component == (5, 6, 7)
 
 
+def test_parity_precheck_reports_first_odd_component():
+    # components {1,4,6}, {2,5}, {3,7,8,9,10}: two odd ones, interleaved
+    # ids; the certificate is the one holding the smallest vertex
+    g = Hypergraph.from_edges(
+        10, [(4, 6), (1, 6), (2, 5), (8, 9), (3, 10), (7, 10), (8, 10)])
+    cert = parity_precheck(g, 1, 3)
+    assert cert is not None and cert.component == (1, 4, 6)
+
+
 def test_biconnected_blocks_bowtie():
     # two triangles sharing vertex 3
     g = Hypergraph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from cfhyper import (
+    Coloring,
     Hypergraph,
     HypergraphError,
     LLLParams,
@@ -14,6 +15,26 @@ from cfhyper import (
 )
 
 from corpus import random_uniform_hypergraph
+
+
+def rescan_coloring(h, params):
+    """The resampling loop without a worklist, kept as the reference: each
+    round rescans the edges from the first one. Returns the coloring (None
+    at the cap) and the number of resampling rounds."""
+    r = len(h.edges[0])
+    rng = random.Random(params.seed)
+    colors = [0] + [rng.randint(1, params.k) for _ in range(h.n)]
+    rounds = 0
+    while True:
+        bad = next((e for e in h.edges
+                    if len({colors[v] for v in e}) <= r // 2), None)
+        if bad is None:
+            return Coloring(tuple(colors[1:])), rounds
+        rounds += 1
+        if rounds > params.max_rounds:
+            return None, rounds - 1
+        for v in bad:
+            colors[v] = rng.randint(1, params.k)
 
 
 def high_precision_bound(r, max_degree):
@@ -94,3 +115,35 @@ def test_params_validated():
         LLLParams(k=0)
     with pytest.raises(HypergraphError):
         LLLParams(k=3, max_rounds=0)
+
+
+def test_worklist_matches_rescan_reference():
+    # capped 8-uniform, max degree 100: k=30 needs a dozen or more rounds,
+    # k=75 (the guaranteed palette) at most a few, k=12 starts with many
+    # violated edges at once
+    h = random_uniform_hypergraph(random.Random(8), 400, 8, 100, 5000)
+    assert h.max_degree == 100
+    rounds_seen = []
+    for k in (30, 75):
+        for seed in range(6):
+            params = LLLParams(k=k, seed=seed)
+            expected, rounds = rescan_coloring(h, params)
+            assert expected is not None
+            assert randomized_cf_coloring(h, params) == expected
+            rounds_seen.append(rounds)
+    assert max(rounds_seen) >= 10 and min(rounds_seen) == 0
+    params = LLLParams(k=12, seed=1, max_rounds=300)
+    assert randomized_cf_coloring(h, params) == rescan_coloring(h, params)[0]
+
+
+def test_worklist_cap_boundary():
+    h = random_uniform_hypergraph(random.Random(8), 400, 8, 100, 5000)
+    expected, rounds = rescan_coloring(h, LLLParams(k=30, seed=2))
+    assert rounds >= 10
+    # exactly enough rounds succeeds, one fewer hits the cap
+    assert randomized_cf_coloring(
+        h, LLLParams(k=30, seed=2, max_rounds=rounds)) == expected
+    assert randomized_cf_coloring(
+        h, LLLParams(k=30, seed=2, max_rounds=rounds - 1)) is None
+    assert rescan_coloring(
+        h, LLLParams(k=30, seed=2, max_rounds=rounds - 1))[0] is None

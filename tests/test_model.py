@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cfhyper import (
     Hypergraph,
     HypergraphError,
+    HypergraphStats,
     dual,
     remove_vertices,
     stats,
@@ -28,6 +29,68 @@ def hypergraphs(draw, max_n=8, max_m=6, max_edge=5, min_degree=0):
             if v not in covered:
                 edges.append((v,))
     return Hypergraph.from_edges(n, edges)
+
+
+@st.composite
+def multi_hypergraphs(draw):
+    """n may be 0 and m may be 0; edges repeat (picked from a small pool),
+    may be singletons, and may leave vertices isolated."""
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return Hypergraph(0, ())
+    pool = draw(st.lists(
+        st.sets(st.integers(1, n), min_size=1, max_size=min(4, n)),
+        min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    return Hypergraph.from_edges(n, [pool[i] for i in picks])
+
+
+def reference_stats(h):
+    """Every statistic by direct set computation."""
+    edges = [set(e) for e in h.edges]
+    degrees = [sum(v in e for e in edges) for v in range(1, h.n + 1)]
+    sizes = {len(e) for e in edges}
+    reach = {1} if h.n else set()
+    grown = True
+    while grown:
+        grown = False
+        for e in edges:
+            if reach & e and not e <= reach:
+                reach |= e
+                grown = True
+    return HypergraphStats(
+        n=h.n,
+        m=h.m,
+        max_degree=max(degrees, default=0),
+        max_edge_degree=max(
+            (sum(1 for j, f in enumerate(edges) if j != i and e & f)
+             for i, e in enumerate(edges)),
+            default=0),
+        uniform_r=sizes.pop() if len(sizes) == 1 else None,
+        regular_a=degrees[0] if len(set(degrees)) == 1 else None,
+        connected=len(reach) == h.n or h.n <= 1,
+    )
+
+
+STAT_NAMES = ("max_degree", "max_edge_degree", "uniform_r", "regular_a",
+              "connected")
+
+
+@given(multi_hypergraphs())
+@example(Hypergraph(0, ()))
+@example(Hypergraph(3, ()))
+@example(Hypergraph(1, ((1,),)))
+@example(Hypergraph(4, ((1,), (2, 3), (2, 3), (2, 3))))
+@example(Hypergraph(5, ((1, 2), (3, 4))))
+def test_lazy_stats_match_reference(h):
+    expected = reference_stats(h)
+    assert stats(h) == expected
+    # each statistic alone, first read on a fresh instance
+    for name in STAT_NAMES:
+        assert getattr(Hypergraph(h.n, h.edges), name) == getattr(expected, name)
+    # the cache is invisible to equality and hashing
+    assert h == Hypergraph(h.n, h.edges)
+    assert hash(h) == hash(Hypergraph(h.n, h.edges))
 
 
 def test_invariants_rejected():
