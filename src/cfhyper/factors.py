@@ -11,7 +11,6 @@ The duality bridge turns a {1, r-1}-factor of the dual graph of a
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -87,13 +86,27 @@ def parity_precheck(g: Hypergraph, a: int, b: int) -> ParityObstruction | None:
     _check_targets(a, b)
     if a % 2 == 0 or b % 2 == 0:
         return None
-    label = g.component_labels()
-    sizes = Counter(label[1:])
-    # labels are smallest vertices, so this is the first odd component
-    odd = min((c for c, size in sizes.items() if size % 2), default=None)
-    if odd is None:
-        return None
-    return ParityObstruction(tuple(v for v in range(1, g.n + 1) if label[v] == odd))
+    seen = [False] * (g.n + 1)
+    adj = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for start in range(1, g.n + 1):
+        if seen[start]:
+            continue
+        component = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if len(component) % 2 == 1:
+            return ParityObstruction(tuple(sorted(component)))
+    return None
 
 
 def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:

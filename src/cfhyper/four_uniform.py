@@ -276,15 +276,28 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
 
 
 def _connected_components(h: Hypergraph) -> list[tuple[list[int], list[int]]]:
-    """(sorted vertices, sorted 1-based edge indices) per component, in
-    the order of their smallest vertices."""
-    label = h.component_labels()
-    comps: dict[int, tuple[list[int], list[int]]] = {}
-    for v in range(1, h.n + 1):
-        comps.setdefault(label[v], ([], []))[0].append(v)
-    for idx, edge in enumerate(h.edges, start=1):
-        comps[label[edge[0]]][1].append(idx)
-    return list(comps.values())
+    """(sorted vertices, sorted 1-based edge indices) per component."""
+    adj = primal_adjacency(h)
+    incident = h.incident_edges()
+    seen = [False] * (h.n + 1)
+    out = []
+    for start in range(1, h.n + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        queue: deque[int] = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+                    queue.append(y)
+        comp.sort()
+        edge_ids = sorted({e for v in comp for e in incident[v]})
+        out.append((comp, edge_ids))
+    return out
 
 
 def _map_components(

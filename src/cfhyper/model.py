@@ -3,10 +3,7 @@
 Vertices are dense 1-based integers. Edges are stored as strictly sorted
 tuples; the edge list is ordered and may contain duplicates (multiset
 semantics), so 2-uniform hypergraphs double as multigraphs. All values are
-immutable and every operation is a pure function. The statistics of a
-Hypergraph (max degree, uniformity, regularity, connectivity, max edge
-degree) are computed on first read and cached on the instance; since the
-instance never changes, a cached value cannot go stale.
+immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -31,10 +28,9 @@ class Hypergraph:
 
     The statistics ``max_degree``, ``uniform_r``, ``regular_a``,
     ``connected`` and ``max_edge_degree`` (see HypergraphStats) are lazy:
-    each is computed when first read and cached on the instance, outside
-    the dataclass fields, so equality and hashing ignore it. A Hypergraph
-    is immutable, so the cache cannot go stale. ``max_edge_degree`` costs
-    by far the most; read only the statistics you need.
+    each is computed on first read and cached outside the dataclass fields,
+    so equality and hashing ignore it. A Hypergraph is immutable, so the
+    cache cannot go stale. ``max_edge_degree`` costs by far the most.
     """
 
     n: int
@@ -99,45 +95,32 @@ class Hypergraph:
     @cached_property
     def connected(self) -> bool:
         """True when edges chain every two vertices (always for n <= 1)."""
-        return max(self.component_labels()) <= 1
-
-    def component_labels(self) -> list[int]:
-        """Per vertex id, the smallest vertex of its connected component
-        (entry 0 is a placeholder)."""
-        label = list(range(self.n + 1))
+        parent = list(range(self.n + 1))  # union-find forest
 
         def find(v: int) -> int:
-            while label[v] != v:
-                label[v] = label[label[v]]
-                v = label[v]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
             return v
 
         for edge in self.edges:
+            root = find(edge[0])
             for v in edge[1:]:
-                a, b = find(edge[0]), find(v)
-                label[max(a, b)] = min(a, b)
-        return [find(v) for v in range(self.n + 1)]
+                parent[find(v)] = root
+        return len({find(v) for v in range(1, self.n + 1)}) <= 1
 
     @cached_property
     def max_edge_degree(self) -> int:
         """For the worst edge, the other edges sharing a vertex with it.
 
-        One bitmask of incident edges per vertex (n * m / 8 bytes); an
-        edge's count is the popcount of its vertices' union, minus itself.
-        Each byte row is freed as soon as it becomes a mask.
+        Bitmasks of incident edges (n * m / 8 bytes) are used when they take
+        at most 64 bytes per incidence; then they need at most 8 word ORs
+        for each insert the set loop makes. Sparse inputs (long cycles,
+        matchings) take the set loop.
         """
-        rows: list[bytearray | None] = [
-            bytearray((self.m + 7) // 8) for _ in range(self.n + 1)]
-        for i, edge in enumerate(self.edges):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for v in edge:
-                rows[v][byte] |= bit
-        masks = []
-        for v in range(self.n + 1):
-            masks.append(int.from_bytes(rows[v], "little"))
-            rows[v] = None
-        return max((reduce(or_, map(masks.__getitem__, e)).bit_count()
-                    for e in self.edges), default=1) - 1
+        if self.n * self.m <= 512 * sum(map(len, self.edges)):
+            return _edge_degree_by_masks(self)
+        return _edge_degree_by_sets(self)
 
     def incident_edges(self) -> list[list[int]]:
         """For each vertex 1..n, the sorted list of 1-based incident edge indices.
@@ -215,6 +198,30 @@ def primal_adjacency(h: Hypergraph) -> list[list[int]]:
                 adj[v].add(w)
                 adj[w].add(v)
     return [sorted(s) for s in adj]
+
+
+def _edge_degree_by_masks(h: Hypergraph) -> int:
+    # one mask of incident edges per vertex; an edge's count is the popcount
+    # of its vertices' union, minus itself. Each byte row is freed as soon
+    # as it becomes a mask.
+    rows: list[bytearray | None] = [
+        bytearray((h.m + 7) // 8) for _ in range(h.n + 1)]
+    for i, edge in enumerate(h.edges):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for v in edge:
+            rows[v][byte] |= bit
+    masks = []
+    for v in range(h.n + 1):
+        masks.append(int.from_bytes(rows[v], "little"))
+        rows[v] = None
+    return max((reduce(or_, map(masks.__getitem__, e)).bit_count()
+                for e in h.edges), default=1) - 1
+
+
+def _edge_degree_by_sets(h: Hypergraph) -> int:
+    inc = h.incident_edges()
+    return max((len(set().union(*map(inc.__getitem__, e))) for e in h.edges),
+               default=1) - 1
 
 
 def stats(h: Hypergraph) -> HypergraphStats:

@@ -85,8 +85,7 @@ def strong_condition(h: Hypergraph, c: Coloring) -> list[int]:
     vertices, some color must appear exactly once.
     """
     _check_lengths(h, c)
-    sizes = {len(e) for e in h.edges}
-    if len(sizes) > 1:
+    if h.m and h.uniform_r is None:
         raise HypergraphError("strong condition requires a uniform hypergraph")
     bad = []
     for idx, edge in enumerate(h.edges, start=1):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -33,6 +34,26 @@ def test_gen_and_stats(tmp_path, capsys):
     assert code == 0
     assert "n 54" in text and "m 189" in text
     assert "regular 7" in text and "connected yes" in text
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    (20001, [(i, i % 20001 + 1) for i in range(1, 20002)], "max-edge-degree 2"),
+    (20000, [(2 * i - 1, 2 * i) for i in range(1, 10001)], "max-edge-degree 0"),
+])
+def test_stats_large_sparse_input_stays_small(tmp_path, capsys, n, edges,
+                                              expected):
+    # an odd cycle and a perfect matching: edge-degree bitmasks would take
+    # n * m / 8 bytes (50 MB and 25 MB here); the whole command needs ~6 MB
+    hg = tmp_path / "x.hg"
+    hg.write_text(save_hypergraph(Hypergraph.from_edges(n, edges)))
+    tracemalloc.start()
+    try:
+        code, text, _ = run(capsys, "stats", str(hg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and expected in text
+    assert peak < 15 * 2**20
 
 
 def test_gen_roles(tmp_path, capsys):

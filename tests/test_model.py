@@ -9,6 +9,7 @@ from cfhyper import (
     remove_vertices,
     stats,
 )
+from cfhyper import model
 from cfhyper.constructions import build_g_tr, complete_graph
 
 from corpus import mixed_corpus
@@ -88,6 +89,9 @@ def test_lazy_stats_match_reference(h):
     # each statistic alone, first read on a fresh instance
     for name in STAT_NAMES:
         assert getattr(Hypergraph(h.n, h.edges), name) == getattr(expected, name)
+    # both edge-degree methods, whichever one the size test picks
+    assert model._edge_degree_by_masks(h) == expected.max_edge_degree
+    assert model._edge_degree_by_sets(h) == expected.max_edge_degree
     # the cache is invisible to equality and hashing
     assert h == Hypergraph(h.n, h.edges)
     assert hash(h) == hash(Hypergraph(h.n, h.edges))
