@@ -36,7 +36,7 @@ def cli() -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write(path: str, text: str) -> None:

@@ -14,6 +14,8 @@ Saving is canonical: ``load(save(x)) == x`` at field level.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .model import Hypergraph, HypergraphError
 from .verify import Coloring
 
@@ -29,17 +31,13 @@ class ParseError(ValueError):
 
 
 def _as_text(data: str | bytes) -> str:
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    return data.decode("utf-8-sig") if isinstance(data, bytes) else data
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """Non-comment, as (1-based line number, raw line) pairs; blanks kept."""
-    out = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        out.append((num, raw))
-    return out
+    return [(num, raw) for num, raw in enumerate(text.splitlines(), start=1)
+            if not raw.lstrip().startswith("#")]
 
 
 def _int_token(token: str, line: int, column: int) -> int:
@@ -68,35 +66,45 @@ def _parse_header(lines: list[tuple[int, str]], keyword: str, nfields: int) -> t
     raise ParseError(f"missing {keyword!r} header", len(lines) + 1)
 
 
+def _locate(lines: list[tuple[int, str]], problem: Callable[[int, set[int]], str | None]) -> None:
+    """Raise a ParseError at the first token that is no integer or that ``problem`` faults."""
+    seen: set[int] = set()
+    for num, raw in lines:
+        for col, tok in enumerate(raw.split(), start=1):
+            value = _int_token(tok, num, col)
+            message = problem(value, seen)
+            if message:
+                raise ParseError(message, num, col) from None
+            seen.add(value)
+
+
+def _distinct_in_range(noun: str, hi: int, repeated: str) -> Callable[[int, set[int]], str | None]:
+    def problem(v: int, seen: set[int]) -> str | None:
+        if not 1 <= v <= hi:
+            return f"{noun} {v} outside 1..{hi}"
+        return f"{noun} {v} {repeated}" if v in seen else None
+    return problem
+
+
 def load_hypergraph(data: str | bytes) -> Hypergraph:
     """Parse the hypergraph format; edge order is preserved, edges sorted."""
     lines = _content_lines(_as_text(data))
     (n, m), start = _parse_header(lines, "hypergraph", 2)
-    edges: list[tuple[int, ...]] = []
-    pos = start
-    while len(edges) < m:
-        if pos >= len(lines):
-            raise ParseError(
-                f"expected {m} edge lines, found {len(edges)}",
-                (lines[-1][0] + 1) if lines else 2)
-        num, raw = lines[pos]
-        pos += 1
-        tokens = raw.split()
-        if not tokens:
-            raise ParseError(f"edge {len(edges) + 1} is empty", num)
-        verts = []
-        for col, tok in enumerate(tokens, start=1):
-            v = _int_token(tok, num, col)
-            if not 1 <= v <= n:
-                raise ParseError(f"vertex {v} outside 1..{n}", num, col)
-            if v in verts:
-                raise ParseError(f"vertex {v} repeated inside the edge", num, col)
-            verts.append(v)
-        edges.append(tuple(sorted(verts)))
-    for num, raw in lines[pos:]:
+    body = lines[start:start + m]
+    try:  # Hypergraph rejects empty edges, outside and repeated vertices
+        h = Hypergraph(n, tuple(tuple(sorted(map(int, raw.split()))) for _, raw in body))
+    except ValueError:
+        for k, (num, raw) in enumerate(body, start=1):
+            if not raw.split():
+                raise ParseError(f"edge {k} is empty", num) from None
+            _locate([(num, raw)], _distinct_in_range("vertex", n, "repeated inside the edge"))
+        raise
+    if len(body) < m:
+        raise ParseError(f"expected {m} edge lines, found {len(body)}", lines[-1][0] + 1)
+    for num, raw in lines[start + m:]:
         if raw.split():
             raise ParseError("trailing content after the last edge", num)
-    return Hypergraph(n, tuple(edges))
+    return h
 
 
 def save_hypergraph(h: Hypergraph) -> str:
@@ -109,18 +117,15 @@ def save_hypergraph(h: Hypergraph) -> str:
 def load_coloring(data: str | bytes) -> Coloring:
     lines = _content_lines(_as_text(data))
     (n,), start = _parse_header(lines, "coloring", 1)
-    colors: list[int] = []
-    for num, raw in lines[start:]:
-        for col, tok in enumerate(raw.split(), start=1):
-            c = _int_token(tok, num, col)
-            if c < 1:
-                raise ParseError(f"colors must be positive, got {c}", num, col)
-            colors.append(c)
-    if len(colors) != n:
-        raise ParseError(
-            f"expected {n} colors, found {len(colors)}",
-            lines[-1][0] if lines else 1)
-    return Coloring(tuple(colors))
+    body = lines[start:]
+    try:  # Coloring rejects non-positive colors
+        coloring = Coloring(tuple(c for _, raw in body for c in map(int, raw.split())))
+    except ValueError:
+        _locate(body, lambda c, _: None if c >= 1 else f"colors must be positive, got {c}")
+        raise
+    if len(coloring.colors) != n:
+        raise ParseError(f"expected {n} colors, found {len(coloring.colors)}", lines[-1][0])
+    return coloring
 
 
 def save_coloring(c: Coloring) -> str:
@@ -132,16 +137,16 @@ def load_factor(data: str | bytes) -> tuple[int, frozenset[int]]:
     """Parse a factor file; returns (host edge count, selected edge indices)."""
     lines = _content_lines(_as_text(data))
     (m,), start = _parse_header(lines, "factor", 1)
-    selected: set[int] = set()
-    for num, raw in lines[start:]:
-        for col, tok in enumerate(raw.split(), start=1):
-            idx = _int_token(tok, num, col)
-            if not 1 <= idx <= m:
-                raise ParseError(f"edge index {idx} outside 1..{m}", num, col)
-            if idx in selected:
-                raise ParseError(f"edge index {idx} repeated", num, col)
-            selected.add(idx)
-    return m, frozenset(selected)
+    body = lines[start:]
+    try:
+        indices = [i for _, raw in body for i in map(int, raw.split())]
+        selected = frozenset(indices)
+        if len(selected) < len(indices) or not all(1 <= i <= m for i in selected):
+            raise ValueError("edge index outside the range or repeated")
+    except ValueError:
+        _locate(body, _distinct_in_range("edge index", m, "repeated"))
+        raise
+    return m, selected
 
 
 def save_factor(m: int, selected: frozenset[int] | set[int]) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .model import Hypergraph, HypergraphError
 
@@ -41,15 +42,18 @@ def _check_lengths(h: Hypergraph, c: Coloring) -> None:
             f"coloring has {len(c.colors)} entries for {h.n} vertices")
 
 
+def _counter(colors: list[int]) -> Callable[[int], int]:
+    """Occurrences of a color in ``colors``; list.count is quadratic, so only up to 16."""
+    return colors.count if len(colors) <= 16 else Counter(colors).__getitem__
+
+
 def unique_color_witness(h: Hypergraph, c: Coloring, edge_index: int) -> int | None:
     """Smallest vertex of the edge whose color occurs exactly once in it."""
     _check_lengths(h, c)
     edge = h.edge(edge_index)
-    counts = Counter(c.colors[v - 1] for v in edge)
-    for v in edge:  # edges are sorted, so the first hit is the smallest id
-        if counts[c.colors[v - 1]] == 1:
-            return v
-    return None
+    colors = [c.colors[v - 1] for v in edge]
+    counts = list(map(_counter(colors), colors))  # edges are sorted: first is smallest
+    return edge[counts.index(1)] if 1 in counts else None
 
 
 def is_conflict_free(h: Hypergraph, c: Coloring) -> list[int]:
@@ -58,10 +62,11 @@ def is_conflict_free(h: Hypergraph, c: Coloring) -> list[int]:
     An empty list means the coloring is conflict-free.
     """
     _check_lengths(h, c)
+    color = c.colors
     bad = []
     for idx, edge in enumerate(h.edges, start=1):
-        counts = Counter(c.colors[v - 1] for v in edge)
-        if 1 not in counts.values():
+        colors = [color[v - 1] for v in edge]
+        if 1 not in map(_counter(colors), colors):
             bad.append(idx)
     return bad
 

@@ -263,6 +263,18 @@ def test_verify_reports_bad_edges(tmp_path, capsys):
     assert out.splitlines() == ["5"]
 
 
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    # editors on Windows often start UTF-8 files with a byte-order mark
+    hg = tmp_path / "bom.hg"
+    col = tmp_path / "bom.col"
+    hg.write_bytes(b"\xef\xbb\xbfhypergraph 3 1\n1 2 3\n")
+    col.write_bytes(b"\xef\xbb\xbfcoloring 3\n1 2 2\n")
+    code, out, err = run(capsys, "stats", str(hg))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["n 3", "m 1"]
+    assert run(capsys, "verify", str(hg), str(col)) == (0, "", "")
+
+
 def test_dual_roundtrip(tmp_path, capsys):
     hg = tmp_path / "g.hg"
     d = tmp_path / "d.hg"

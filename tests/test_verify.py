@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,3 +108,38 @@ def test_proper_equals_cf_for_small_uniform(h, seed):
         rng = random.Random(seed)
         c = Coloring(tuple(rng.randint(1, 3) for _ in range(hr.n)))
         assert (is_proper(hr, c) == []) == (is_conflict_free(hr, c) == [])
+
+
+def _counter_reference(h, c):
+    """Per edge, the smallest uniquely colored vertex or None, by Counter."""
+    out = []
+    for edge in h.edges:
+        counts = Counter(c.colors[v - 1] for v in edge)
+        out.append(next((v for v in edge if counts[c.colors[v - 1]] == 1), None))
+    return out
+
+
+def _check_against_counter(h, c):
+    witnesses = _counter_reference(h, c)
+    assert [unique_color_witness(h, c, i) for i in range(1, h.m + 1)] == witnesses
+    assert is_conflict_free(h, c) == [i for i, w in enumerate(witnesses, 1) if w is None]
+
+
+@given(hypergraphs(max_n=24, max_m=8, max_edge=24), st.integers(1, 4),
+       st.integers(0, 10**6))
+def test_counting_matches_counter_reference(h, palette, seed):
+    # palette 1 makes every edge of two or more vertices bad
+    rng = random.Random(seed)
+    _check_against_counter(h, Coloring(tuple(rng.randint(1, palette) for _ in range(h.n))))
+
+
+@pytest.mark.parametrize("r", [1, 2, 8, 16, 17, 40])
+def test_counting_on_both_sides_of_the_size_switch(r):
+    h = Hypergraph.from_edges(r, [range(1, r + 1), [r]])
+    pairs = Coloring(tuple(v // 2 + 1 for v in range(r)))  # each color twice if r is even
+    last = Coloring((1,) * (r - 1) + (2,))  # the one unique color comes last
+    for c in (pairs, last, Coloring((1,) * r)):
+        _check_against_counter(h, c)
+    assert is_conflict_free(h, pairs) == ([1] if r % 2 == 0 else [])
+    assert is_conflict_free(h, last) == []
+    assert unique_color_witness(h, last, 1) == (1 if r == 2 else r)
