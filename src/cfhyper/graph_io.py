@@ -35,8 +35,15 @@ def _as_text(data: str | bytes) -> str:
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    """Non-comment, as (1-based line number, raw line) pairs; blanks kept."""
-    return [(num, raw) for num, raw in enumerate(text.splitlines(), start=1)
+    """Non-comment, as (1-based line number, raw line) pairs; blanks kept.
+
+    Lines end at \\n, \\r\\n or \\r only: str.splitlines() also breaks at form
+    feeds, \\x1c-\\x1e, \\x85 and U+2028/2029, which an editor shows inside a line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [(num, raw) for num, raw in enumerate(lines, start=1)
             if not raw.lstrip().startswith("#")]
 
 

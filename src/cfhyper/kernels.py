@@ -1,148 +1,49 @@
 """Search-kernel backend selection.
 
 Two backends implement the kernels: the pure-Python reference
-cfhyper._kernels_py and its compiled twin cfhyper._kernels_cy. The
-compiled module is the extension built at install time when there is one.
-Otherwise the Cython output committed next to the .pyx, _kernels_cy.c, is
-compiled on first import with the C compiler and Python headers that
-sysconfig names for the running interpreter; Cython is not needed. The
-build goes to a per-user cache, $XDG_CACHE_HOME/cfhyper (default
-~/.cache/cfhyper), under a file name keyed by the SHA-256 of the C source
-and the interpreter's extension suffix (EXT_SUFFIX, which carries the
-ABI), and later imports in any process load it without compiling. It is
-written under a temporary name and renamed into place, so a concurrent
-import never loads a half-written file.
-
-When the compiled module cannot be had (no compiler, no Python.h, an
-unwritable cache, a compile error) the pure backend is used. Set
-CFHYPER_BACKEND=pure to select it without attempting a build, or
-CFHYPER_BACKEND=compiled to require the compiled one; the latter raises
-ImportError stating why it is unavailable. Both backends explore
-identical search trees; tests assert verdict-, witness-, and
+cfhyper._kernels_py and its compiled twin cfhyper._kernels_c, plain C
+that is built on first import and loaded through ctypes (see that
+module for the build and its cache). When the compiled kernels cannot be
+had (no compiler, an unwritable cache, a compile error) the pure backend
+is used. Set CFHYPER_BACKEND=pure to select it without attempting a
+build, or CFHYPER_BACKEND=compiled to require the compiled one; the
+latter raises ImportError stating why it is unavailable. Both backends
+explore identical search trees; tests assert verdict-, witness-, and
 node-count-level agreement.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import importlib.machinery
-import importlib.util
 import os
-import shlex
-import shutil
-import sys
-import sysconfig
-from pathlib import Path
 from types import ModuleType
 
 from . import _kernels_py
-
-_COMPILED_NAME = f"{__package__}._kernels_cy"
-_C_SOURCE = Path(__file__).with_name("_kernels_cy.c")
-
-
-def _cache_dir() -> Path:
-    """Per-user directory holding compiled kernels built on import."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = Path.home() / ".cache"
-    return Path(base) / "cfhyper"
-
-
-def _compile_command() -> list[str]:
-    """Compiler invocation for the committed C file, without the output."""
-    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    if not ldshared:
-        raise ImportError("sysconfig names no C compiler (LDSHARED is unset)")
-    if shutil.which(ldshared[0]) is None:
-        raise ImportError(f"C compiler {ldshared[0]!r} not found on PATH")
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        raise ImportError(f"Python.h not found in {include}")
-    ccshared = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    return [*ldshared, *ccshared, "-O2", "-I", include, str(_C_SOURCE)]
-
-
-def _cached_build() -> Path:
-    """Path of the cached build of _kernels_cy.c, compiling it if missing."""
-    # Streamed, and the ABI suffix taken from the import system rather
-    # than sysconfig's config-var table: reading the 600 kB source whole or
-    # loading that table raises the resident set by ~0.5 MB and ~0.4 MB on
-    # every import (a whole CLI run peaks at ~23 MB).
-    digest = hashlib.sha256()
-    with _C_SOURCE.open("rb") as source:
-        for chunk in iter(lambda: source.read(1 << 16), b""):
-            digest.update(chunk)
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    target = _cache_dir() / f"_kernels_cy-{digest.hexdigest()}{suffix}"
-    if target.is_file():
-        return target
-    # imported only to build: subprocess alone adds ~0.6 MB resident
-    import subprocess
-    import tempfile
-
-    command = _compile_command()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"{target.name}.", dir=target.parent)
-    os.close(fd)
-    try:
-        proc = subprocess.run([*command, "-o", tmp], capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise ImportError(
-                f"compiling {_C_SOURCE.name} failed (exit {proc.returncode}): "
-                f"{proc.stderr.strip()[-2000:]}")
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return target
-
-
-def _load(path: Path) -> ModuleType:
-    spec = importlib.util.spec_from_file_location(_COMPILED_NAME, path)
-    if spec is None or spec.loader is None:
-        raise ImportError(f"{path} is not loadable as an extension module")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_COMPILED_NAME] = module
-    return module
+from ._kernels_py import BUDGET, CONFLICT_FREE, FOUND, PROPER, UNSAT  # noqa: F401 (shared codes)
 
 
 @functools.cache
 def _compiled() -> tuple[ModuleType | None, str]:
     """The compiled kernels, or None and the reason they are unavailable."""
     try:
-        from . import _kernels_cy
-
-        return _kernels_cy, ""
-    except ImportError:
-        pass
-    try:
-        return _load(_cached_build()), ""
-    except (ImportError, OSError, RuntimeError) as exc:
+        from . import _kernels_c
+    except (ImportError, OSError, RuntimeError) as exc:  # RuntimeError: no home directory
         return None, str(exc) or type(exc).__name__
+    return _kernels_c, ""
 
 
 _choice = os.environ.get("CFHYPER_BACKEND", "").strip().lower()
 if _choice in ("pure", "python"):
     _impl: ModuleType = _kernels_py
 elif _choice in ("", "auto", "compiled"):
-    _cy, _why = _compiled()
-    if _cy is None and _choice == "compiled":
+    _c, _why = _compiled()
+    if _c is None and _choice == "compiled":
         raise ImportError(
             f"CFHYPER_BACKEND=compiled but the compiled kernels are "
             f"unavailable: {_why}; use CFHYPER_BACKEND=pure")
-    _impl = _cy or _kernels_py
+    _impl = _c or _kernels_py
 else:
     raise ImportError(f"unknown CFHYPER_BACKEND value {_choice!r}")
-
-# status codes shared by both backends
-FOUND = _kernels_py.FOUND
-UNSAT = _kernels_py.UNSAT
-BUDGET = _kernels_py.BUDGET
-CONFLICT_FREE = _kernels_py.CONFLICT_FREE
-PROPER = _kernels_py.PROPER
 
 solve_degree_constrained = _impl.solve_degree_constrained
 color_search = _impl.color_search

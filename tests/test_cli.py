@@ -11,8 +11,10 @@ from cfhyper import (
     load_hypergraph,
     save_hypergraph,
 )
+from cfhyper import kernels
 from cfhyper.cli import main
 from cfhyper.constructions import build_g_tr
+from cfhyper.kernels import available_backends
 
 from corpus import connected_4uniform_corpus, random_uniform_hypergraph
 
@@ -117,6 +119,22 @@ def test_factor_budget(tmp_path, capsys):
                        "--budget", "3", str(g))
     assert code == 2
     assert out.strip() == "BUDGET"
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_factor_numbers_past_machine_ints(tmp_path, capsys, monkeypatch, backend):
+    # the compiled kernel takes C integers; a larger budget or degree must
+    # not turn into an exception and exit 1, which means "no factor"
+    impl = available_backends()[backend]
+    monkeypatch.setattr(kernels, "solve_degree_constrained", impl.solve_degree_constrained)
+    k4 = tmp_path / "k4.hg"
+    run(capsys, "gen", "--construction", "complete_graph", "--n", "4",
+        "-o", str(k4))
+    code, out, _ = run(capsys, "factor", "--a", "1", "--b", "3",
+                       "--budget", str(10**20), str(k4))
+    assert code == 0 and load_factor(out) == (6, frozenset(range(1, 7)))
+    code, out, _ = run(capsys, "factor", "--a", "1", "--b", str(10**20), str(k4))
+    assert code == 0 and load_factor(out)[0] == 6
 
 
 def test_chi_cf_c5(tmp_path, capsys):

@@ -164,6 +164,34 @@ def test_byte_order_mark_is_accepted():
     assert load_coloring(bom + b"coloring 2\n1 2\n") == Coloring((1, 2))
 
 
+# str.splitlines() also breaks lines at these; an editor shows them inside one
+@pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_lines(sep):
+    # whitespace between the vertex ids of an edge
+    assert load_hypergraph(f"hypergraph 2 1\n1{sep}2\n").edges == ((1, 2),)
+    # part of a comment, tail included
+    assert load_hypergraph(f"hypergraph 2 1\n# a{sep}more\n1 2\n").edges == ((1, 2),)
+    with pytest.raises(ParseError) as info:
+        load_hypergraph(f"hypergraph 3 1\n# a{sep}b\n1 2\n2 x\n")
+    assert str(info.value) == "line 4: trailing content after the last edge"
+    with pytest.raises(ParseError) as info:
+        load_hypergraph(f"hypergraph 3 2\n1{sep}2\n# a{sep}b\n3 x{sep}\n")
+    assert str(info.value) == "line 4, column 2: expected an integer, got 'x'"
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_line_endings(eol):
+    text = eol.join(["# c", "hypergraph 3 2", "1 2", "# c", "2 3", ""])
+    assert load_hypergraph(text).edges == ((1, 2), (2, 3))
+    assert load_coloring(eol.join(["coloring 2", "1", "2", ""])) == Coloring((1, 2))
+    with pytest.raises(ParseError) as info:
+        load_hypergraph(eol.join(["hypergraph 3 2", "1 2", "# c", "", "2 x", ""]))
+    assert str(info.value) == "line 4: edge 2 is empty"
+    with pytest.raises(ParseError) as info:
+        load_hypergraph(eol.join(["hypergraph 3 3", "1 2", "# c", "2 3", ""]))
+    assert str(info.value) == "line 5: expected 3 edge lines, found 2"
+
+
 def _peak_mb(text):
     tracemalloc.start()
     try:

@@ -17,19 +17,14 @@ from cfhyper.kernels import available_backends
 
 BACKENDS = available_backends()
 
-# cfhyper.kernels compiles the committed _kernels_cy.c with the compiler
-# sysconfig links extensions with and the interpreter's Python.h; where
-# both exist the compiled backend must load.
-_COMPILER = (shlex.split(sysconfig.get_config_var("LDSHARED") or "") or [""])[0]
-_CAN_BUILD = (shutil.which(_COMPILER) is not None
-              and Path(sysconfig.get_paths()["include"], "Python.h").is_file())
+# cfhyper._kernels_c compiles its C file with the compiler sysconfig links
+# extensions with; where that compiler exists the compiled backend must load.
+_LDSHARED = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+_COMPILER = (_LDSHARED or [""])[0]
 needs_toolchain = pytest.mark.skipif(
-    not _CAN_BUILD, reason="no C compiler or no Python.h to build the kernels")
-# an extension built at install time is imported instead of any build
-_INSTALLED = "compiled" in BACKENDS and Path(
-    BACKENDS["compiled"].__file__).parent == Path(cfhyper.__file__).parent
-builds_on_import = pytest.mark.skipif(
-    _INSTALLED, reason="the installed extension is used; no build on import")
+    shutil.which(_COMPILER) is None, reason="no C compiler to build the kernels")
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in BACKENDS, reason="compiled kernels not built")
 
 
 @needs_toolchain
@@ -74,7 +69,7 @@ def _random_color_instances(count, seed):
         yield n, edges, rng.randint(1, 4), rng.choice([0, 1])
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="extension not built")
+@needs_compiled
 def test_degree_constrained_agreement():
     pure, compiled = BACKENDS["pure"], BACKENDS["compiled"]
     for n, eu, ev, lo, hi, budget in _random_degree_instances(300, 11):
@@ -83,7 +78,7 @@ def test_degree_constrained_agreement():
         assert r1 == r2, (n, list(zip(eu, ev)), lo, hi, budget)
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="extension not built")
+@needs_compiled
 def test_color_search_agreement():
     pure, compiled = BACKENDS["pure"], BACKENDS["compiled"]
     for n, edges, k, mode in _random_color_instances(300, 12):
@@ -126,7 +121,7 @@ def test_color_search_basics(name):
     assert impl.color_search(0, [], 1, impl.CONFLICT_FREE) == ([], 0)
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="extension not built")
+@needs_compiled
 def test_big_block_agreement():
     """The two backends walk the same tree on a real refutation workload.
 
@@ -164,16 +159,128 @@ def test_big_block_agreement():
                 deg[v] in (1, 6) for v in range(h.n) if v != hub - 1)
 
 
+def _complete_graph(n):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+_C4 = ([0, 1, 2, 3], [1, 2, 3, 0])
+_K12 = _complete_graph(12)
+# (n, eu, ev, lo, hi, budget)
+DEGREE_EDGE_CASES = {
+    "budget 0": (4, *_C4, [1] * 4, [2] * 4, 0),
+    "no edges, unsatisfiable": (3, [], [], [0, 1, 0], [0, 2, 0], 10),
+    "no edges, satisfied": (3, [], [], [0] * 3, [0] * 3, 10),
+    "vertex pinned to degree 0": (4, [0, 0, 1, 2], [1, 2, 2, 3],
+                                  [0, 1, 1, 1], [0, 2, 2, 2], 100),
+    # every degree pinned: propagation outgrows the initial queue of 4m + 16
+    "K12 pinned to 0": (12, *_K12, [0] * 12, [0] * 12, 100),
+    "K12 pinned to 11": (12, *_K12, [11] * 12, [11] * 12, 100),
+    # past C int and long long: clamped without changing the search
+    "huge budget and degrees": (4, *_C4, [1] * 4, [10**20] * 4, 10**20),
+    "negative budget and degrees": (4, *_C4, [-10**20] * 4, [1] * 4, -10**20),
+}
+# (n, edges, k, mode)
+COLOR_EDGE_CASES = {
+    "k above n": (3, [(0, 1, 2)], 10**5, 0),
+    "k 0": (3, [(0, 1)], 0, 1),
+    "negative k": (2, [(0, 1)], -5, 1),
+    "no vertices": (0, [], 3, 0),
+    "no edges": (4, [], 2, 1),
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(DEGREE_EDGE_CASES))
+def test_degree_constrained_edge_cases(case):
+    args = DEGREE_EDGE_CASES[case]
+    assert (BACKENDS["compiled"].solve_degree_constrained(*args)
+            == BACKENDS["pure"].solve_degree_constrained(*args))
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(COLOR_EDGE_CASES))
+def test_color_search_edge_cases(case):
+    args = COLOR_EDGE_CASES[case]
+    assert BACKENDS["compiled"].color_search(*args) == BACKENDS["pure"].color_search(*args)
+
+
+@needs_compiled
+def test_compiled_clamps_a_huge_palette():
+    compiled = BACKENDS["compiled"]
+    assert (compiled.color_search(3, [(0, 1, 2)], 10**30, 0)
+            == compiled.color_search(3, [(0, 1, 2)], 3, 0))
+
+
+@needs_compiled
+@pytest.mark.parametrize("call", [
+    lambda k: k.solve_degree_constrained(3, [0], [3], [1] * 3, [1] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [-1], [0], [1] * 3, [1] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [0, 1], [1], [1] * 3, [1] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [0], [1], [1] * 2, [1] * 3, 9),
+    lambda k: k.color_search(3, [(0, 1), (2, 3)], 2, 0),
+    lambda k: k.color_search(3, [(0, -1)], 2, 1),
+])
+def test_compiled_rejects_bad_input(call):
+    # the C code trusts its arrays; the wrapper must stop these first
+    with pytest.raises(ValueError):
+        call(BACKENDS["compiled"])
+
+
+_SANITIZED_RUN = """
+import sys
+from cfhyper import _kernels_c, _kernels_py
+from test_kernels import (DEGREE_EDGE_CASES, _random_color_instances,
+                          _random_degree_instances)
+_kernels_c._lib = _kernels_c._bind(sys.argv[1])
+count = 0
+for args in [*DEGREE_EDGE_CASES.values(), *_random_degree_instances(1500, 21)]:
+    expected = _kernels_py.solve_degree_constrained(*args)
+    assert _kernels_c.solve_degree_constrained(*args) == expected, args
+    count += 1
+for args in _random_color_instances(1500, 22):
+    assert _kernels_c.color_search(*args) == _kernels_py.color_search(*args), args
+    count += 1
+print(count)
+"""
+
+
+def test_compiled_kernels_under_sanitizers(tmp_path):
+    """The C source built with ASan and UBSan agrees with the pure kernels."""
+    libasan = ""
+    if shutil.which(_COMPILER):
+        libasan = subprocess.run([_COMPILER, "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True).stdout.strip()
+    if not os.path.isfile(libasan):
+        pytest.skip("the C compiler has no libasan.so")
+    lib = tmp_path / "kernels_sanitized.so"
+    ccshared = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    build = subprocess.run(
+        [*_LDSHARED, *ccshared, "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all",
+         str(Path(cfhyper.__file__).with_name("_kernels_c.c")), "-o", str(lib)],
+        capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(cfhyper.__file__).parents[1]), str(Path(__file__).parent)]))
+    run = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-4000:]
+    assert int(run.stdout) >= 3000
+
+
 def _import_backend(cache, backend="", path=None):
-    """backend_name() and the compiled kernels' file in a fresh process."""
+    """backend_name() and whether subprocess got imported, in a fresh process."""
     env = dict(os.environ, XDG_CACHE_HOME=str(cache), CFHYPER_BACKEND=backend,
                PYTHONPATH=str(Path(cfhyper.__file__).parents[1]))
     if path is not None:
         env["PATH"] = str(path)
     return subprocess.run(
         [sys.executable, "-c",
+         "import sys\n"
          "from cfhyper import kernels\n"
-         "print(kernels.backend_name(), kernels._impl.__file__)"],
+         "print(kernels.backend_name(), 'subprocess' in sys.modules)"],
         env=env, capture_output=True, text=True)
 
 
@@ -182,17 +289,24 @@ def _cached(cache):
 
 
 @needs_toolchain
-@builds_on_import
 def test_build_is_cached_and_reused(tmp_path):
     first = _import_backend(tmp_path)
     assert first.stdout.split()[0] == "compiled", first.stderr
     built = _cached(tmp_path)
-    assert len(built) == 1 and built[0].endswith(
-        sysconfig.get_config_var("EXT_SUFFIX"))
+    assert len(built) == 1 and built[0].startswith("_kernels_c-")
     # no compiler on PATH: the cached file is loaded as it is
     second = _import_backend(tmp_path, path=tmp_path / "empty")
-    assert second.stdout == first.stdout, second.stderr
+    assert second.stdout.split()[0] == "compiled", second.stderr
     assert _cached(tmp_path) == built
+
+
+@needs_toolchain
+def test_warm_import_leaves_subprocess_unimported(tmp_path):
+    # the build tools cost resident memory; a cached build needs none of them
+    cold = _import_backend(tmp_path)
+    assert cold.stdout.split() == ["compiled", "True"], cold.stderr
+    warm = _import_backend(tmp_path)
+    assert warm.stdout.split() == ["compiled", "False"], warm.stderr
 
 
 def test_pure_backend_never_builds(tmp_path):
@@ -201,7 +315,6 @@ def test_pure_backend_never_builds(tmp_path):
     assert not (tmp_path / "cfhyper").exists()
 
 
-@builds_on_import
 def test_fallback_without_compiler(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -212,8 +325,6 @@ def test_fallback_without_compiler(tmp_path):
     assert "not found on PATH" in forced.stderr
 
 
-@needs_toolchain
-@builds_on_import
 def test_fallback_with_unwritable_cache(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")  # the cache directory cannot be created inside a file
