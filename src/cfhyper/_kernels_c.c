@@ -3,8 +3,9 @@
  * Same deterministic search order and node accounting as the Python
  * reference, over flat int arrays; cfhyper._kernels_c builds this file and
  * calls it through ctypes. No Python headers are involved. The caller
- * guarantees every vertex id is in [0, n) and 0 <= k <= n; return codes
- * below 0 mean an allocation failed.
+ * guarantees every vertex id is in [0, n), every allowed degree of a
+ * vertex v is in [0, deg(v)] and 0 <= k <= n; return codes below 0 mean
+ * an allocation failed.
  */
 #include <stdlib.h>
 
@@ -12,8 +13,10 @@ enum { FOUND = 0, UNSAT = 1, BUDGET = 2, NOMEM = -1 };
 enum { VAL_IN = 1, VAL_OUT = 2, MODE_PROPER = 1 };
 
 typedef struct {
-    const int *eu, *ev, *lo, *hi;
+    const int *eu, *ev;
     int *vptr, *vedges, *state, *chosen, *undec, *trail;
+    int *nxt; /* per vertex v, at vptr[v] + 2v: least allowed degree >= d
+                 for d in 0 .. deg(v) + 1, or deg(v) + 1 when none is */
     int trail_len;
     int *pend;  /* (edge, value) pairs forced by propagation */
     size_t pend_len, pend_cap;
@@ -21,13 +24,10 @@ typedef struct {
 
 /* 0 dead end, 1 fine, NOMEM; may queue the vertex's forced edges */
 static int check_vertex(DCState *s, int v) {
-    int c = s->chosen[v], u = s->undec[v], t1 = s->lo[v], t2 = s->hi[v];
-    int ok1 = c <= t1 && t1 <= c + u;
-    int ok2 = t1 != t2 && c <= t2 && t2 <= c + u;
-    int t, val, j, e, end;
-    if (!ok1 && !ok2) return 0;
-    if ((ok1 && ok2) || u == 0) return 1;
-    t = ok1 ? t1 : t2;
+    int c = s->chosen[v], u = s->undec[v], *row = s->nxt + s->vptr[v] + 2 * v;
+    int t = row[c], val, j, e, end; /* t: the first reachable target, if any */
+    if (t > c + u) return 0;
+    if (u == 0 || row[t + 1] <= c + u) return 1; /* a second one is reachable */
     if (t == c) val = VAL_OUT;
     else if (t == c + u) val = VAL_IN;
     else return 1;
@@ -83,13 +83,16 @@ static void undo_to(DCState *s, int mark) {
 }
 
 /* See cfhyper._kernels_py.solve_degree_constrained. data holds eu, ev
- * (m each), lo, hi (n each) and room for the 0/1 selection (m), written
- * when FOUND; the branch decisions made go to *nodes. */
+ * (m each), aptr (n + 1), the allowed degrees (aptr[n]; vertex v's are
+ * aptr[v] .. aptr[v + 1], each in 0 .. deg(v)) and room for the 0/1
+ * selection (m), written when FOUND; the branch decisions made go to
+ * *nodes. */
 int cfh_solve(int n, int m, int *data, long long budget, long long *nodes) {
-    DCState s = {.eu = data, .ev = data + m, .lo = data + 2 * m, .hi = data + 2 * m + n};
-    int *selection = data + 2 * m + 2 * n;
-    int *mem = calloc((size_t)n * 4 + (size_t)m * 7 + 1, sizeof(int));
-    int *fill, *frames, *top, i, v, r = 1, scan = 0, depth = 0, status = NOMEM;
+    DCState s = {.eu = data, .ev = data + m};
+    const int *aptr = data + 2 * m, *avals = aptr + n + 1;
+    int *selection = data + 2 * m + n + 1 + aptr[n];
+    int *mem = calloc((size_t)n * 6 + (size_t)m * 9 + 1, sizeof(int));
+    int *fill, *frames, *top, *row, i, v, d, r = 1, scan = 0, depth = 0, status = NOMEM;
 
     *nodes = 0;
     s.pend_cap = 4 * (size_t)m + 16;
@@ -103,6 +106,7 @@ int cfh_solve(int n, int m, int *data, long long budget, long long *nodes) {
     s.state = s.vedges + 2 * m;
     s.trail = s.state + m;
     frames = s.trail + m;      /* 3m: edge, next phase, trail mark */
+    s.nxt = frames + 3 * m;    /* 2m + 2n */
 
     for (i = 0; i < m; i++) {
         s.undec[s.eu[i]]++;
@@ -115,6 +119,14 @@ int cfh_solve(int n, int m, int *data, long long budget, long long *nodes) {
     for (i = 0; i < m; i++) {
         s.vedges[fill[s.eu[i]]++] = i;
         s.vedges[fill[s.ev[i]]++] = i;
+    }
+    for (v = 0; v < n; v++) {
+        int deg = s.undec[v];
+        row = s.nxt + s.vptr[v] + 2 * v;
+        for (d = 0; d <= deg + 1; d++) row[d] = deg + 1;
+        for (i = aptr[v]; i < aptr[v + 1]; i++) row[avals[i]] = avals[i];
+        for (d = deg; d >= 0; d--)
+            if (row[d] > row[d + 1]) row[d] = row[d + 1];
     }
 
     /* root propagation: unconditional forcings and degree sanity */

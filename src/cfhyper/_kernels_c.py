@@ -12,18 +12,19 @@ OSError when no build can be had; cfhyper.kernels then falls back to the
 pure backend.
 
 The wrappers check what the C code trusts: array lengths and vertex ids
-in [0, n). Numbers the search cannot tell from a smaller one (a budget
-past 2**63 - 1, a target degree past a C int, more colors than vertices)
-are clamped, so results match the pure backend for every input.
+in [0, n). Each allowed-degree set is clipped to 0..deg(v), the only
+degrees a search can meet, and numbers the search cannot tell from a
+smaller one (a budget past 2**63 - 1, more colors than vertices) are
+clamped, so results match the pure backend for every input.
 """
 
 import ctypes
 import hashlib
 import os
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._kernels_py import BUDGET, CONFLICT_FREE, FOUND, PROPER, UNSAT  # noqa: F401
 
@@ -94,18 +95,20 @@ def _check_ids(ids: list[int], n: int) -> None:
         raise ValueError(f"vertex id outside 0..{n - 1}")
 
 
-def solve_degree_constrained(n: int, eu: Sequence[int], ev: Sequence[int], lo: Sequence[int],
-                             hi: Sequence[int], budget: int) -> tuple[int, list[int] | None, int]:
+def solve_degree_constrained(n: int, eu: Sequence[int], ev: Sequence[int],
+                             allowed: Sequence[Iterable[int]],
+                             budget: int) -> tuple[int, list[int] | None, int]:
     """See cfhyper._kernels_py.solve_degree_constrained."""
     m = len(eu)
-    if len(ev) != m or len(lo) != n or len(hi) != n:
-        raise ValueError("eu and ev need one entry per edge, lo and hi one per vertex")
+    if len(ev) != m or len(allowed) != n:
+        raise ValueError("eu and ev need one entry per edge, allowed one per vertex")
     ends = [*eu, *ev]
     _check_ids(ends, n)
-    try:
-        data = array("i", [*ends, *lo, *hi])
-    except OverflowError:  # past a C int, a target is as unreachable as any above m
-        data = array("i", [*ends, *(min(max(t, -1), m + 1) for t in (*lo, *hi))])
+    deg = [0] * n
+    for v in ends:
+        deg[v] += 1
+    kept = [[t for t in ts if 0 <= t <= d] for ts, d in zip(allowed, deg)]
+    data = array("i", [*ends, *accumulate(map(len, kept), initial=0), *chain(*kept)])
     data.frombytes(bytes(m * data.itemsize))  # the selection goes here
     nodes = array("q", [0])
     if not -1 <= budget <= _LLONG_MAX:  # no search tells these from -1 or 2**63 - 1

@@ -10,7 +10,7 @@ witnesses, and node counts agree exactly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 BACKEND_NAME = "pure"
 
@@ -28,17 +28,18 @@ def solve_degree_constrained(
     n: int,
     eu: Sequence[int],
     ev: Sequence[int],
-    lo: Sequence[int],
-    hi: Sequence[int],
+    allowed: Sequence[Iterable[int]],
     budget: int,
 ) -> tuple[int, list[int] | None, int]:
     """Exhaustive search for an edge subset with constrained vertex degrees.
 
     Edge i joins 0-based vertices eu[i] and ev[i]. The selected degree of
-    vertex v must equal lo[v] or hi[v] (lo[v] <= hi[v]; equal for an exact
-    target). Edges are branched in ascending index order, trying "selected"
-    before "excluded", with unit propagation: a vertex whose remaining
-    feasible target is pinned forces all its undecided edges one way.
+    vertex v must lie in the set allowed[v]; values outside 0..deg(v) can
+    never be met and are ignored. Edges are branched in ascending index
+    order, trying "selected" before "excluded", with unit propagation: a
+    vertex with only one allowed degree still reachable, which equals its
+    selected degree so far or that plus its undecided edges, forces all
+    those edges one way.
 
     Returns (status, selection, nodes) where selection is a 0/1 list per
     edge when status == FOUND and nodes counts branch decisions. UNSAT is
@@ -61,6 +62,19 @@ def solve_degree_constrained(
         vedges[fill[ev[i]]] = i
         fill[ev[i]] += 1
 
+    # nxt[v][d]: the least allowed degree >= d, or deg(v) + 1 when none is
+    nxt = []
+    for v in range(n):
+        top = deg[v] + 1
+        row = [top] * (top + 1)
+        for t in allowed[v]:
+            if 0 <= t < top:
+                row[t] = t
+        for d in range(top - 1, -1, -1):
+            if row[d] > row[d + 1]:
+                row[d] = row[d + 1]
+        nxt.append(row)
+
     state = [0] * m  # 0 undecided, 1 in, 2 out
     chosen = [0] * n
     undec = deg[:]
@@ -71,15 +85,12 @@ def solve_degree_constrained(
         # dead end -> False; pins the vertex's undecided edges when forced
         c = chosen[v]
         u = undec[v]
-        t1 = lo[v]
-        t2 = hi[v]
-        ok1 = c <= t1 <= c + u
-        ok2 = t1 != t2 and c <= t2 <= c + u
-        if not ok1 and not ok2:
+        row = nxt[v]
+        t = row[c]  # the first reachable target, if any
+        if t > c + u:
             return False
-        if ok1 and ok2 or u == 0:
+        if u == 0 or row[t + 1] <= c + u:  # a second target is reachable
             return True
-        t = t1 if ok1 else t2
         if t == c:
             val = 2
         elif t == c + u:

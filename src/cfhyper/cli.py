@@ -35,6 +35,12 @@ def cli() -> None:
     """Conflict-free hypergraph colorings and {a,b}-factor search."""
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # click.echo without a file caches a wrapper per sys.stdout that keeps
+    # the stream alive, so in-process callers swapping streams would leak
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
 
@@ -124,13 +130,13 @@ def color(algo: str, colors: int | None, seed: int, max_resamples: int,
         maybe = randomized_cf_coloring(
             h, LLLParams(k=colors, seed=seed, max_rounds=max_resamples))
         if maybe is None:
-            click.echo("resample cap exceeded", err=True)
+            _echo("resample cap exceeded", err=True)
             return 2
         coloring = maybe
     else:
         result = chi_cf_exact(h, k_max=colors)
         if result is None:
-            click.echo(f"no conflict-free coloring with {colors} colors", err=True)
+            _echo(f"no conflict-free coloring with {colors} colors", err=True)
             return 1
         coloring = result.witness
     _write(output, save_coloring(coloring))
@@ -146,7 +152,7 @@ def verify(hypergraph: str, coloring: str) -> int:
     c = load_coloring(_read(coloring))
     bad = is_conflict_free(h, c)
     for idx in bad:
-        click.echo(str(idx))
+        _echo(str(idx))
     return 1 if bad else 0
 
 
@@ -171,19 +177,19 @@ def factor(a: int, b: int, budget: int, file: str) -> int:
     g = load_hypergraph(_read(file))
     obstruction = parity_precheck(g, a, b)
     if obstruction is not None:
-        click.echo(f"infeasible by parity: {obstruction}", err=True)
-        click.echo("NONE")
+        _echo(f"infeasible by parity: {obstruction}", err=True)
+        _echo("NONE")
         return 1
     try:
         found = find_ab_factor(g, a, b, budget=budget)
     except SearchBudgetExceeded as exc:
-        click.echo(str(exc), err=True)
-        click.echo("BUDGET")
+        _echo(str(exc), err=True)
+        _echo("BUDGET")
         return 2
     if found is None:
-        click.echo("NONE")
+        _echo("NONE")
         return 1
-    click.echo(save_factor(g.m, found.selected), nl=False)
+    _echo(save_factor(g.m, found.selected), nl=False)
     return 0
 
 
@@ -198,15 +204,15 @@ def chi_cf(max_k: int | None, mode: str, file: str) -> int:
     h = load_hypergraph(_read(file))
     if mode == "characterize-4u":
         res = characterize_4uniform(h)
-        click.echo(str(res.chi_cf))
-        click.echo(save_coloring(res.coloring), nl=False)
+        _echo(str(res.chi_cf))
+        _echo(save_coloring(res.coloring), nl=False)
         return 0
     result = chi_cf_exact(h, k_max=max_k)
     if result is None:
-        click.echo(f"above {max_k}")
+        _echo(f"above {max_k}")
         return 1
-    click.echo(str(result.chi_cf))
-    click.echo(save_coloring(result.witness), nl=False)
+    _echo(str(result.chi_cf))
+    _echo(save_coloring(result.witness), nl=False)
     return 0
 
 
@@ -215,13 +221,13 @@ def chi_cf(max_k: int | None, mode: str, file: str) -> int:
 def stats_cmd(file: str) -> int:
     """Print size, degree, uniformity, regularity, and connectivity."""
     st = stats(load_hypergraph(_read(file)))
-    click.echo(f"n {st.n}")
-    click.echo(f"m {st.m}")
-    click.echo(f"max-degree {st.max_degree}")
-    click.echo(f"max-edge-degree {st.max_edge_degree}")
-    click.echo(f"uniform {st.uniform_r if st.uniform_r is not None else 'none'}")
-    click.echo(f"regular {st.regular_a if st.regular_a is not None else 'none'}")
-    click.echo(f"connected {'yes' if st.connected else 'no'}")
+    _echo(f"n {st.n}")
+    _echo(f"m {st.m}")
+    _echo(f"max-degree {st.max_degree}")
+    _echo(f"max-edge-degree {st.max_edge_degree}")
+    _echo(f"uniform {st.uniform_r if st.uniform_r is not None else 'none'}")
+    _echo(f"regular {st.regular_a if st.regular_a is not None else 'none'}")
+    _echo(f"connected {'yes' if st.connected else 'no'}")
     return 0
 
 
@@ -230,16 +236,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rv = cli.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         return 64
     except ParseError as exc:
-        click.echo(f"input error: {exc}", err=True)
+        _echo(f"input error: {exc}", err=True)
         return 65
     except HypergraphError as exc:
-        click.echo(f"data error: {exc}", err=True)
+        _echo(f"data error: {exc}", err=True)
         return 65
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        _echo(f"i/o error: {exc}", err=True)
         return 66
     return 0 if rv is None else int(rv)
 

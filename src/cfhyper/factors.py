@@ -2,9 +2,11 @@
 
 A factor here is a set of edges giving every vertex degree exactly a or
 exactly b. The search is complete: a None verdict is an exhaustive
-refutation. It decomposes the graph over the block-cut tree, solving each
-biconnected block against every useful degree split at its cut vertices
-with the degree-constrained kernel, then combines blocks by a tree DP.
+refutation. It decomposes the graph over the block-cut tree and solves
+each biconnected block with the degree-constrained kernel, once per
+degree of its parent cut vertex, with each other cut vertex allowed every
+degree its child blocks can complete to a or b; a tree DP then combines
+the blocks.
 The duality bridge turns a {1, r-1}-factor of the dual graph of a
 2-regular r-uniform hypergraph into a conflict-free 2-coloring and back.
 """
@@ -12,7 +14,7 @@ The duality bridge turns a {1, r-1}-factor of the dual graph of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from typing import Iterable
 
 from . import kernels
 from .model import Hypergraph, HypergraphError, dual
@@ -182,35 +184,16 @@ class _Block:
     edges: list[int]  # global 0-based edge ids, ascending
     vertices: list[int]  # sorted global vertex ids
     cut_vertices: list[int]  # sorted; subset of vertices
+    eu: list[int]  # the edges' endpoints as indices into vertices
+    ev: list[int]
     parent_cut: int | None = None
 
-
-def _query_block(
-    g: Hypergraph,
-    block: _Block,
-    fixed: dict[int, int],
-    a: int,
-    b: int,
-    budget: int,
-) -> tuple[int, list[int] | None, int]:
-    """Run the kernel on one block with prescribed cut-vertex degrees."""
-    local = {v: i for i, v in enumerate(block.vertices)}
-    eu = []
-    ev = []
-    for eid in block.edges:
-        x, y = g.edges[eid]
-        eu.append(local[x])
-        ev.append(local[y])
-    lo = [a] * len(block.vertices)
-    hi = [b] * len(block.vertices)
-    for v, d in fixed.items():
-        lo[local[v]] = d
-        hi[local[v]] = d
-    return kernels.solve_degree_constrained(
-        len(block.vertices), eu, ev, lo, hi, budget)
+    def degree(self, v: int) -> int:
+        i = self.vertices.index(v)
+        return self.eu.count(i) + self.ev.count(i)
 
 
-def _sumset(parts: list[set[int]], cap: int) -> set[int]:
+def _sumset(parts: list[Iterable[int]], cap: int) -> set[int]:
     acc = {0}
     for part in parts:
         acc = {s + d for s in acc for d in part if s + d <= cap}
@@ -224,12 +207,25 @@ def find_ab_factor(
 ) -> Factor | None:
     """Complete search for an {a,b}-factor.
 
-    Returns the canonical witness (first factor in the deterministic search
-    order) or None after exhaustive refutation; raises
-    SearchBudgetExceeded when the node budget runs out, so None is always a
-    proof of nonexistence. The search splits into biconnected blocks and
-    combines them over the block-cut tree, enumerating for each block the
-    feasible degree contributions at its cut vertices.
+    Returns a canonical witness or None after exhaustive refutation;
+    raises SearchBudgetExceeded when the node budget runs out, so None is
+    always a proof of nonexistence. Every kernel query is charged at least
+    one node, so the budget also bounds the number of queries.
+
+    The search splits into biconnected blocks and solves the block-cut
+    tree of each component bottom-up, from a root block (the one holding
+    the component's lowest-numbered edge). A block below the root is
+    solved once per degree d of its parent cut vertex, keeping the first
+    witness in kernel search order for each feasible d. Each other cut
+    vertex c of the block may take any degree t - s with t in {a, b} and
+    s a sum of feasible degrees of the child blocks hanging at c; every
+    other vertex must reach a or b. The root block is solved once.
+
+    The witness is the root block's first solution. Top-down, each cut
+    vertex then takes target a if its child blocks can make up the
+    difference, else b; the difference goes to the child blocks in order,
+    each taking the smallest share the blocks after it can complete, and
+    each child block contributes its witness for that share.
     """
     _require_graph(g)
     _check_targets(a, b)
@@ -242,10 +238,13 @@ def find_ab_factor(
     blocks = []
     for raw in blocks_raw:
         verts = sorted({v for eid in raw for v in g.edges[eid]})
+        local = {v: i for i, v in enumerate(verts)}
         blocks.append(_Block(
             edges=raw,
             vertices=verts,
             cut_vertices=[v for v in verts if v in cuts],
+            eu=[local[g.edges[eid][0]] for eid in raw],
+            ev=[local[g.edges[eid][1]] for eid in raw],
         ))
 
     blocks_of_cut: dict[int, list[int]] = {}
@@ -255,15 +254,19 @@ def find_ab_factor(
 
     nodes_used = 0
 
-    def spend(amount: int) -> None:
+    def solve(blk: _Block, allowed_at: dict[int, Iterable[int]]) -> list[int] | None:
         nonlocal nodes_used
-        nodes_used += amount
-        if nodes_used > budget:
+        status, sel, spent = kernels.solve_degree_constrained(
+            len(blk.vertices), blk.eu, blk.ev,
+            [allowed_at.get(v, (a, b)) for v in blk.vertices],
+            budget - nodes_used)
+        nodes_used += max(spent, 1)
+        if status == kernels.BUDGET or nodes_used > budget:
             raise SearchBudgetExceeded(nodes_used)
+        return sel
 
-    # feasible degree contributions g(B) and per-profile witnesses
-    feas: list[dict[tuple[int, ...], list[int]]] = [{} for _ in blocks]
-    contrib: list[set[int]] = [set() for _ in blocks]
+    # per block: feasible parent-cut degree -> first witness for it
+    witness: list[dict[int, list[int]]] = [{} for _ in blocks]
     # sumset of child contributions per (cut vertex, parent block)
     child_sum: dict[tuple[int, int], set[int]] = {}
     child_blocks: dict[tuple[int, int], list[int]] = {}
@@ -288,10 +291,7 @@ def find_ab_factor(
                 if c in seen_cut:
                     continue
                 seen_cut.add(c)
-                kids = [
-                    other for other in blocks_of_cut[c]
-                    if not seen_block[other]
-                ]
+                kids = [k for k in blocks_of_cut[c] if not seen_block[k]]
                 # in a block-cut forest the first block reaching c sees every
                 # other block of c undiscovered
                 assert len(kids) == len(blocks_of_cut[c]) - 1
@@ -304,83 +304,49 @@ def find_ab_factor(
         # solve blocks bottom-up
         for bi in reversed(order):
             blk = blocks[bi]
-            deg_in_block = {
-                c: sum(1 for eid in blk.edges if c in g.edges[eid])
-                for c in blk.cut_vertices
-            }
-            own_children = {
-                c: child_blocks.get((c, bi), []) for c in blk.cut_vertices
-            }
+            allowed_at: dict[int, Iterable[int]] = {}
             for c in blk.cut_vertices:
                 if c == blk.parent_cut:
                     continue
-                kids = own_children[c]
-                for kid in kids:
-                    if not contrib[kid]:
-                        return None  # the subtree below is infeasible outright
-                child_sum[(c, bi)] = _sumset([contrib[k] for k in kids], b)
+                sums = _sumset([witness[k].keys() for k in child_blocks[(c, bi)]], b)
+                child_sum[(c, bi)] = sums
+                top = blk.degree(c)
+                allowed_at[c] = {t - s for t in (a, b) for s in sums if 0 <= t - s <= top}
+                if not allowed_at[c]:
+                    return None  # no degree at c suits its child blocks
+            if blk.parent_cut is None:
+                root_sel = solve(blk, allowed_at)
+                if root_sel is None:
+                    return None
+                continue
+            for d in range(min(blk.degree(blk.parent_cut), b) + 1):
+                allowed_at[blk.parent_cut] = (d,)
+                sel = solve(blk, allowed_at)
+                if sel is not None:
+                    witness[bi][d] = sel
+            if not witness[bi]:
+                return None  # the subtree below is infeasible outright
 
-            ranges = [
-                range(min(deg_in_block[c], b) + 1) for c in blk.cut_vertices
-            ]
-            for profile in product(*ranges):
-                fixed = dict(zip(blk.cut_vertices, profile))
-                ok = True
-                for c, d in fixed.items():
-                    if c == blk.parent_cut:
-                        continue
-                    sums = child_sum[(c, bi)]
-                    if not any(d + s in (a, b) for s in sums):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                status, sel, spent = _query_block(
-                    g, blk, fixed, a, b, budget - nodes_used)
-                spend(spent)
-                if status == kernels.BUDGET:
-                    raise SearchBudgetExceeded(nodes_used)
-                if status == kernels.FOUND:
-                    assert sel is not None
-                    feas[bi][profile] = sel
-                    if blk.parent_cut is not None:
-                        contrib[bi].add(fixed[blk.parent_cut])
-            if blk.parent_cut is not None and not contrib[bi]:
-                return None
-        if not feas[root_bi]:
-            return None
-
-        # reconstruct: walk the tree top-down, fixing one profile per block
-        pending: list[tuple[int, tuple[int, ...]]] = [
-            (root_bi, min(feas[root_bi]))]
+        # reconstruct: walk the tree top-down, fixing one witness per block
+        pending = [(root_bi, root_sel)]
         while pending:
-            bi, profile = pending.pop()
+            bi, sel = pending.pop()
             blk = blocks[bi]
-            sel = feas[bi][profile]
-            for eid, flag in zip(blk.edges, sel):
-                if flag:
-                    selected.add(eid + 1)
-            fixed = dict(zip(blk.cut_vertices, profile))
+            chosen = [blk.edges[i] for i, flag in enumerate(sel) if flag]
+            selected.update(eid + 1 for eid in chosen)
             for c in blk.cut_vertices:
                 if c == blk.parent_cut:
                     continue
-                kids = child_blocks.get((c, bi), [])
-                if not kids:
-                    continue
+                kids = child_blocks[(c, bi)]
                 sums = child_sum[(c, bi)]
-                d = fixed[c]
+                d = sum(c in g.edges[eid] for eid in chosen)
                 target = next(t for t in (a, b) if t - d in sums)
                 remainder = target - d
                 for pos, kid in enumerate(kids):
-                    tail = _sumset([contrib[k] for k in kids[pos + 1:]], b)
-                    share = min(
-                        s for s in contrib[kid] if remainder - s in tail)
+                    tail = _sumset([witness[k].keys() for k in kids[pos + 1:]], b)
+                    share = min(s for s in witness[kid] if remainder - s in tail)
                     remainder -= share
-                    kid_profile = min(
-                        p for p in feas[kid]
-                        if dict(zip(blocks[kid].cut_vertices, p))[
-                            blocks[kid].parent_cut] == share)
-                    pending.append((kid, kid_profile))
+                    pending.append((kid, witness[kid][share]))
                 assert remainder == 0
 
     factor = Factor(frozenset(selected), a, b)

@@ -118,3 +118,17 @@ def petersen() -> Hypergraph:
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(6, 8), (8, 10), (7, 10), (7, 9), (6, 9)]
     return Hypergraph.from_edges(10, outer + spokes + inner)
+
+
+def ring_of_k4(length: int) -> Hypergraph:
+    """A ring of cut vertices, each carrying a pendant K4.
+
+    Every ring edge plus a 4-cycle in each K4 is a {2,4}-factor.
+    """
+    edges = []
+    for i in range(length):
+        c = 4 * i + 1
+        edges.append((c, 4 * ((i + 1) % length) + 1))
+        q = [c, c + 1, c + 2, c + 3]
+        edges.extend((q[x], q[y]) for x in range(4) for y in range(x + 1, 4))
+    return Hypergraph.from_edges(4 * length, edges)

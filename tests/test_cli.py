@@ -1,5 +1,8 @@
+import gc
+import io
 import random
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -320,3 +323,29 @@ def test_usage_error_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "stats", "/nonexistent/file.hg")
     assert code == 64  # click validates the path before the command runs
+
+
+def test_in_process_calls_keep_no_streams(tmp_path):
+    # main() run in-process, each time with fresh output streams, must not
+    # keep those streams or their text alive once it returns
+    k4 = tmp_path / "k4.hg"
+    k4.write_text(save_hypergraph(Hypergraph.from_edges(
+        4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])))
+
+    def calls(count):
+        for _ in range(count):
+            for argv in (["factor", "--a", "1", "--b", "3", str(k4)],
+                         ["stats", str(tmp_path / "missing.hg")]):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    main(argv)
+
+    calls(5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        calls(200)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 20_000, kept

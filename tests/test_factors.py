@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -14,9 +15,10 @@ from cfhyper import (
     parity_precheck,
 )
 from cfhyper.constructions import build_g_tr, complete_graph, odd_cycle
+from cfhyper import kernels
 from cfhyper.factors import _biconnected_blocks
 
-from corpus import octahedron, petersen, random_uniform_hypergraph
+from corpus import octahedron, petersen, random_uniform_hypergraph, ring_of_k4
 
 
 def test_parity_precheck_k5():
@@ -147,17 +149,19 @@ def test_invalid_targets():
 
 
 def _brute_force_exists(g, a, b) -> bool:
-    from itertools import combinations
-
-    for size in range(g.m + 1):
-        for subset in combinations(range(1, g.m + 1), size):
-            deg = [0] * (g.n + 1)
-            for idx in subset:
-                for v in g.edge(idx):
-                    deg[v] += 1
-            if all(d in (a, b) for d in deg[1:]):
-                return True
-    return False
+    """Whether some edge subset is an {a,b}-factor, trying all 2^m subsets
+    in Gray-code order so that each step toggles one edge."""
+    deg = [0] * (g.n + 1)
+    bad = g.n  # vertices whose degree is neither a nor b; a >= 1
+    for i in range(1, 1 << g.m):
+        if bad == 0:
+            return True
+        bit = (i & -i).bit_length() - 1
+        step = 1 if (i ^ i >> 1) >> bit & 1 else -1
+        for v in g.edges[bit]:
+            bad += (deg[v] in (a, b)) - (deg[v] + step in (a, b))
+            deg[v] += step
+    return bad == 0
 
 
 def test_factor_against_brute_force():
@@ -203,6 +207,109 @@ def test_factor_against_brute_force_cut_heavy():
         assert (result is not None) == _brute_force_exists(g, a, b), (g, a, b)
         if result is not None:
             assert factor_defects(g, result) == []
+
+
+def _glue_blobs(rng, edges, hub, next_free, count):
+    """Glue ``count`` small connected blobs to ``hub``, each a path of one
+    or two new vertices from the hub plus up to one more edge (possibly a
+    parallel one); returns the next free vertex id and the new vertices."""
+    new = []
+    for _ in range(count):
+        blob = [hub, *range(next_free, next_free + rng.randint(1, 2))]
+        next_free += len(blob) - 1
+        edges.extend(zip(blob, blob[1:]))
+        for _ in range(rng.randint(0, 1)):
+            edges.append(tuple(rng.sample(blob, 2)))
+        new.extend(blob[1:])
+    return next_free, new
+
+
+def test_factor_against_brute_force_star_shaped():
+    """Cross-validation where one cut vertex carries 2-4 child blocks, and
+    a vertex of one of them carries 2-4 more: the hub shape of g_tr."""
+    rng = random.Random(31337)
+    verdicts = {True: 0, False: 0}
+    trials = 0
+    while trials < 60:
+        edges = []
+        next_free, level1 = _glue_blobs(rng, edges, 1, 2, rng.randint(2, 4))
+        next_free, _ = _glue_blobs(
+            rng, edges, rng.choice(level1), next_free, rng.randint(2, 4))
+        if len(edges) > 14:
+            continue
+        trials += 1
+        g = Hypergraph.from_edges(next_free - 1, edges)
+        assert 1 in _biconnected_blocks(g)[1]
+        a = rng.randint(1, 2)
+        b = a + trials % 4
+        result = find_ab_factor(g, a, b)
+        expected = _brute_force_exists(g, a, b)
+        assert (result is not None) == expected, (g, a, b)
+        if result is not None:
+            assert factor_defects(g, result) == []
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = [0]
+    solve = kernels.solve_degree_constrained
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(kernels, "solve_degree_constrained", counted)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 5, 30, 200, 1000])
+@pytest.mark.parametrize("case", ["ring_of_k4(14)", "g_tr(1,9)"])
+def test_budget_bounds_kernel_calls(monkeypatch, case, budget):
+    # every query is charged at least one node, zero-node refutations too
+    g, a, b = ((ring_of_k4(14), 2, 4) if case == "ring_of_k4(14)"
+               else (build_g_tr(1, 9)[0], 1, 8))
+    calls = _count_kernel_calls(monkeypatch)
+    try:
+        find_ab_factor(g, a, b, budget=budget)
+    except SearchBudgetExceeded:
+        pass
+    assert 0 < calls[0] <= budget + 1
+
+
+def test_ring_of_k4_is_fast():
+    # profile enumeration took 31.6 s here: 16,440 kernel calls
+    g = ring_of_k4(14)
+    start = time.perf_counter()
+    f = find_ab_factor(g, 2, 4, budget=1000)
+    assert time.perf_counter() - start < 0.1
+    assert f is not None and factor_defects(g, f) == []
+
+
+def test_ring_of_k4_one_query_per_parent_degree(monkeypatch):
+    # the ring is the root block, solved once; each K4 once per degree
+    # 0..3 of its cut vertex
+    calls = _count_kernel_calls(monkeypatch)
+    g = ring_of_k4(40)
+    f = find_ab_factor(g, 2, 4)
+    assert f is not None and factor_defects(g, f) == []
+    assert calls[0] == 1 + 4 * 40
+
+
+def test_biconnected_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5150)
+    for trial in range(150):
+        n = rng.randint(2, 14)
+        pairs = {tuple(sorted(rng.sample(range(1, n + 1), 2)))
+                 for _ in range(rng.randint(1, 2 * n))}
+        g = Hypergraph.from_edges(n, sorted(pairs))
+        blocks, cuts = _biconnected_blocks(g)
+        assert sorted(eid for blk in blocks for eid in blk) == list(range(g.m))
+        ours = sorted(sorted({v for eid in blk for v in g.edges[eid]}) for blk in blocks)
+        ref = nx.Graph(g.edges)
+        assert ours == sorted(sorted(c) for c in nx.biconnected_components(ref)), g
+        assert cuts == set(nx.articulation_points(ref)), g
 
 
 def test_cf2_via_duality_octahedron():

@@ -1,6 +1,7 @@
 """Backend agreement: the compiled kernels must match the pure reference
 node for node, witness for witness."""
 
+import hashlib
 import os
 import random
 import shlex
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cfhyper
-from cfhyper.kernels import available_backends
+from cfhyper.kernels import FOUND, available_backends
 
 BACKENDS = available_backends()
 
@@ -48,11 +49,33 @@ def _random_degree_instances(count, seed):
             ev.append(v)
         a = rng.randint(1, 3)
         b = rng.randint(a, 4)
-        lo, hi = [a] * n, [b] * n
+        allowed = [{a, b}] * n
         if n and rng.random() < 0.5:
             w = rng.randrange(n)
-            lo[w] = hi[w] = rng.randint(0, 3)
-        yield n, eu, ev, lo, hi, rng.choice([7, 10**6])
+            allowed[w] = {rng.randint(0, 3)}
+        yield n, eu, ev, allowed, rng.choice([7, 10**6])
+
+
+# degrees a search can meet, then ones it never can: negative, past m,
+# past a C int and past a long long
+_REACHABLE = range(7)
+_UNREACHABLE = (-10**20, -2**31 - 1, -1, 19, 2**31, 10**20)
+
+
+def _random_allowed_instances(count, seed):
+    """Like _random_degree_instances, with 0 to 4 allowed degrees per vertex."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        pairs = [rng.sample(range(n), 2) for _ in range(rng.randint(0, 16))] if n > 1 else []
+        allowed = []
+        for _ in range(n):
+            size = 0 if rng.random() < 0.02 else rng.randint(1, 4)
+            allowed.append(tuple(
+                rng.choice(_UNREACHABLE) if rng.random() < 0.1 else rng.choice(_REACHABLE)
+                for _ in range(size)))
+        yield (n, [u for u, _ in pairs], [v for _, v in pairs], allowed,
+               rng.choice([0, 5, 10**6]))
 
 
 def _random_color_instances(count, seed):
@@ -72,10 +95,56 @@ def _random_color_instances(count, seed):
 @needs_compiled
 def test_degree_constrained_agreement():
     pure, compiled = BACKENDS["pure"], BACKENDS["compiled"]
-    for n, eu, ev, lo, hi, budget in _random_degree_instances(300, 11):
-        r1 = pure.solve_degree_constrained(n, eu, ev, lo, hi, budget)
-        r2 = compiled.solve_degree_constrained(n, eu, ev, lo, hi, budget)
-        assert r1 == r2, (n, list(zip(eu, ev)), lo, hi, budget)
+    for n, eu, ev, allowed, budget in [*_random_degree_instances(300, 11),
+                                       *_random_allowed_instances(600, 13)]:
+        r1 = pure.solve_degree_constrained(n, eu, ev, allowed, budget)
+        r2 = compiled.solve_degree_constrained(n, eu, ev, allowed, budget)
+        assert r1 == r2, (n, list(zip(eu, ev)), allowed, budget)
+
+
+# sha256 of repr([(status, selection, nodes), ...]) over
+# _random_degree_instances(300, 11) and then DEGREE_EDGE_CASES by name, as
+# the kernels returned them when each vertex took a pair (lo, hi) instead
+# of a set; the sets {lo, hi} must walk the same trees
+GOLDEN_LO_HI_DIGEST = "44ab42fdcceeb783ac025a5daa8a2925936d75e49a0103a5fdbea79d13421228"
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_allowed_sets_reproduce_lo_hi_results(name):
+    solve = BACKENDS[name].solve_degree_constrained
+    results = [solve(*args) for args in [
+        *_random_degree_instances(300, 11),
+        *(DEGREE_EDGE_CASES[case] for case in sorted(DEGREE_EDGE_CASES))]]
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == GOLDEN_LO_HI_DIGEST
+
+
+def _brute_force_selection(n, eu, ev, allowed):
+    """Whether some edge subset gives every vertex an allowed degree."""
+    for mask in range(1 << len(eu)):
+        deg = [0] * n
+        for i in range(len(eu)):
+            if mask >> i & 1:
+                deg[eu[i]] += 1
+                deg[ev[i]] += 1
+        if all(deg[v] in allowed[v] for v in range(n)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_allowed_sets_against_brute_force(name):
+    solve = BACKENDS[name].solve_degree_constrained
+    for n, eu, ev, allowed, _ in _random_allowed_instances(250, 14):
+        if len(eu) > 10:
+            continue
+        status, sel, _ = solve(n, eu, ev, allowed, 10**6)
+        assert (status == FOUND) == _brute_force_selection(n, eu, ev, allowed)
+        if status == FOUND:
+            deg = [0] * n
+            for i, flag in enumerate(sel):
+                deg[eu[i]] += flag
+                deg[ev[i]] += flag
+            assert all(deg[v] in allowed[v] for v in range(n))
 
 
 @needs_compiled
@@ -92,15 +161,15 @@ def test_selection_statuses(name):
     impl = BACKENDS[name]
     # triangle, perfect matching impossible
     status, sel, nodes = impl.solve_degree_constrained(
-        3, [0, 1, 2], [1, 2, 0], [1, 1, 1], [1, 1, 1], 10**6)
+        3, [0, 1, 2], [1, 2, 0], [{1}] * 3, 10**6)
     assert status == impl.UNSAT and sel is None
     # 4-cycle perfect matching: first witness in search order picks edge 0
     status, sel, _ = impl.solve_degree_constrained(
-        4, [0, 1, 2, 3], [1, 2, 3, 0], [1] * 4, [1] * 4, 10**6)
+        4, [0, 1, 2, 3], [1, 2, 3, 0], [{1}] * 4, 10**6)
     assert status == impl.FOUND and sel == [1, 0, 1, 0]
     # budget 0: the 4-cycle needs at least one branch decision
     status, _, nodes = impl.solve_degree_constrained(
-        4, [0, 1, 2, 3], [1, 2, 3, 0], [1] * 4, [1] * 4, 0)
+        4, [0, 1, 2, 3], [1, 2, 3, 0], [{1}] * 4, 0)
     assert status == impl.BUDGET and nodes == 1
 
 
@@ -137,13 +206,12 @@ def test_big_block_agreement():
     eu = [u - 1 for u, _ in h.edges]
     ev = [v - 1 for _, v in h.edges]
     for hub_degree in (0, 1, 2, 3):
-        lo = [1] * h.n
-        hi = [6] * h.n
-        lo[hub - 1] = hi[hub - 1] = hub_degree
+        allowed = [{1, 6}] * h.n
+        allowed[hub - 1] = {hub_degree}
         r1 = BACKENDS["pure"].solve_degree_constrained(
-            h.n, eu, ev, lo, hi, 10**8)
+            h.n, eu, ev, allowed, 10**8)
         r2 = BACKENDS["compiled"].solve_degree_constrained(
-            h.n, eu, ev, lo, hi, 10**8)
+            h.n, eu, ev, allowed, 10**8)
         assert r1 == r2
         status, sel, _ = r1
         if hub_degree in (0, 3):
@@ -166,19 +234,27 @@ def _complete_graph(n):
 
 _C4 = ([0, 1, 2, 3], [1, 2, 3, 0])
 _K12 = _complete_graph(12)
-# (n, eu, ev, lo, hi, budget)
+# (n, eu, ev, allowed, budget)
 DEGREE_EDGE_CASES = {
-    "budget 0": (4, *_C4, [1] * 4, [2] * 4, 0),
-    "no edges, unsatisfiable": (3, [], [], [0, 1, 0], [0, 2, 0], 10),
-    "no edges, satisfied": (3, [], [], [0] * 3, [0] * 3, 10),
+    "budget 0": (4, *_C4, [{1, 2}] * 4, 0),
+    "no edges, unsatisfiable": (3, [], [], [{0}, {1, 2}, {0}], 10),
+    "no edges, satisfied": (3, [], [], [{0}] * 3, 10),
     "vertex pinned to degree 0": (4, [0, 0, 1, 2], [1, 2, 2, 3],
-                                  [0, 1, 1, 1], [0, 2, 2, 2], 100),
+                                  [{0}, {1, 2}, {1, 2}, {1, 2}], 100),
     # every degree pinned: propagation outgrows the initial queue of 4m + 16
-    "K12 pinned to 0": (12, *_K12, [0] * 12, [0] * 12, 100),
-    "K12 pinned to 11": (12, *_K12, [11] * 12, [11] * 12, 100),
+    "K12 pinned to 0": (12, *_K12, [{0}] * 12, 100),
+    "K12 pinned to 11": (12, *_K12, [{11}] * 12, 100),
     # past C int and long long: clamped without changing the search
-    "huge budget and degrees": (4, *_C4, [1] * 4, [10**20] * 4, 10**20),
-    "negative budget and degrees": (4, *_C4, [-10**20] * 4, [1] * 4, -10**20),
+    "huge budget and degrees": (4, *_C4, [{1, 10**20}] * 4, 10**20),
+    "negative budget and degrees": (4, *_C4, [{-10**20, 1}] * 4, -10**20),
+}
+# sets other than pairs; not part of the lo/hi digest above
+ALLOWED_EDGE_CASES = {
+    "empty set": (4, *_C4, [{1}, set(), {1}, {1}], 10),
+    "every degree allowed": (12, *_K12, [range(12)] * 12, 100),
+    "only past C ints": (4, *_C4, [{2**31, -2**31 - 1}] * 4, 10),
+    "one reachable value among huge ones": (4, *_C4, [[-10**20, 2, 10**20]] * 4, 10),
+    "a gap of two": (12, *_K12, [{1, 4}, *[{2, 4, 11}] * 11], 10**6),
 }
 # (n, edges, k, mode)
 COLOR_EDGE_CASES = {
@@ -191,9 +267,9 @@ COLOR_EDGE_CASES = {
 
 
 @needs_compiled
-@pytest.mark.parametrize("case", sorted(DEGREE_EDGE_CASES))
+@pytest.mark.parametrize("case", sorted({**DEGREE_EDGE_CASES, **ALLOWED_EDGE_CASES}))
 def test_degree_constrained_edge_cases(case):
-    args = DEGREE_EDGE_CASES[case]
+    args = {**DEGREE_EDGE_CASES, **ALLOWED_EDGE_CASES}[case]
     assert (BACKENDS["compiled"].solve_degree_constrained(*args)
             == BACKENDS["pure"].solve_degree_constrained(*args))
 
@@ -214,10 +290,11 @@ def test_compiled_clamps_a_huge_palette():
 
 @needs_compiled
 @pytest.mark.parametrize("call", [
-    lambda k: k.solve_degree_constrained(3, [0], [3], [1] * 3, [1] * 3, 9),
-    lambda k: k.solve_degree_constrained(3, [-1], [0], [1] * 3, [1] * 3, 9),
-    lambda k: k.solve_degree_constrained(3, [0, 1], [1], [1] * 3, [1] * 3, 9),
-    lambda k: k.solve_degree_constrained(3, [0], [1], [1] * 2, [1] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [0], [3], [{1}] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [-1], [0], [{1}] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [0, 1], [1], [{1}] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [0], [1], [{1}] * 2, 9),
+    lambda k: k.solve_degree_constrained(3, [0], [1], [{1}] * 4, 9),
     lambda k: k.color_search(3, [(0, 1), (2, 3)], 2, 0),
     lambda k: k.color_search(3, [(0, -1)], 2, 1),
 ])
@@ -230,11 +307,13 @@ def test_compiled_rejects_bad_input(call):
 _SANITIZED_RUN = """
 import sys
 from cfhyper import _kernels_c, _kernels_py
-from test_kernels import (DEGREE_EDGE_CASES, _random_color_instances,
+from test_kernels import (ALLOWED_EDGE_CASES, DEGREE_EDGE_CASES,
+                          _random_allowed_instances, _random_color_instances,
                           _random_degree_instances)
 _kernels_c._lib = _kernels_c._bind(sys.argv[1])
 count = 0
-for args in [*DEGREE_EDGE_CASES.values(), *_random_degree_instances(1500, 21)]:
+for args in [*DEGREE_EDGE_CASES.values(), *ALLOWED_EDGE_CASES.values(),
+             *_random_degree_instances(1500, 21), *_random_allowed_instances(1500, 23)]:
     expected = _kernels_py.solve_degree_constrained(*args)
     assert _kernels_c.solve_degree_constrained(*args) == expected, args
     count += 1
@@ -267,7 +346,7 @@ def test_compiled_kernels_under_sanitizers(tmp_path):
     run = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr[-4000:]
-    assert int(run.stdout) >= 3000
+    assert int(run.stdout) >= 4500
 
 
 def _import_backend(cache, backend="", path=None):
