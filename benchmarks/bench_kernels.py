@@ -5,6 +5,12 @@ table of wall times and speedups:
 
     python benchmarks/bench_kernels.py [--repeat N]
 
+Runs from the root of a source checkout and imports cfhyper from ./src.
+Each repetition times every backend once, back to back, and the order
+alternates between repetitions, so a drift in host speed hits both sides
+of a ratio alike. The table gives each backend's median time and the
+median of the per-repetition pure/compiled ratios.
+
 Workloads:
 * factor refutation: the exhaustive proof that the 7-regular 54-vertex
   counterexample graph has no {1,6}-factor (block searches dominate);
@@ -15,10 +21,15 @@ Workloads:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
+from statistics import median
 
-from cfhyper.constructions import build_g_tr, k4e_gadget
-from cfhyper.kernels import available_backends
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cfhyper.constructions import build_g_tr, k4e_gadget  # noqa: E402
+from cfhyper.kernels import available_backends  # noqa: E402
 
 
 def bench_factor(impl) -> None:
@@ -49,24 +60,25 @@ WORKLOADS = [
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="best-of-N timing (default 3)")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="repetitions per workload (default 5)")
     args = parser.parse_args()
 
     backends = available_backends()
-    print(f"backends: {', '.join(sorted(backends))}")
+    names = sorted(backends)
+    print(f"backends: {', '.join(names)}")
     for label, workload in WORKLOADS:
         print(f"\n{label}")
-        timings = {}
-        for name in sorted(backends):
-            impl = backends[name]
-            best = min(
-                _timed(workload, impl) for _ in range(args.repeat))
-            timings[name] = best
-            print(f"  {name:>9}: {best * 1000:9.2f} ms")
+        timings: dict[str, list[float]] = {name: [] for name in names}
+        for rep in range(args.repeat):
+            for name in names if rep % 2 == 0 else reversed(names):
+                timings[name].append(_timed(workload, backends[name]))
+        for name in names:
+            print(f"  {name:>9}: {median(timings[name]) * 1000:9.2f} ms")
         if "pure" in timings and "compiled" in timings:
-            ratio = timings["pure"] / timings["compiled"]
+            ratio = median(
+                p / c for p, c in zip(timings["pure"], timings["compiled"]))
             print(f"  {'speedup':>9}: {ratio:9.1f} x")
 
 

@@ -102,7 +102,7 @@ def gen(kind: str, t: int | None, r: int | None, n: int | None,
 @cli.command()
 @click.option("--algo", required=True,
               type=click.Choice(["greedy", "four", "lll", "exact"]))
-@click.option("--colors", type=int, default=None,
+@click.option("--colors", type=click.IntRange(min=1), default=None,
               help="palette size (lll: defaults to the guaranteed bound; "
                    "exact: search cap)")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -194,7 +194,7 @@ def factor(a: int, b: int, budget: int, file: str) -> int:
 
 
 @cli.command("chi-cf")
-@click.option("--max-k", type=int, default=None,
+@click.option("--max-k", type=click.IntRange(min=1), default=None,
               help="largest palette to try (default: max degree + 1)")
 @click.option("--mode", type=click.Choice(["exact", "characterize-4u"]),
               default="exact", show_default=True)

@@ -88,26 +88,9 @@ def parity_precheck(g: Hypergraph, a: int, b: int) -> ParityObstruction | None:
     _check_targets(a, b)
     if a % 2 == 0 or b % 2 == 0:
         return None
-    seen = [False] * (g.n + 1)
-    adj = [[] for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for start in range(1, g.n + 1):
-        if seen[start]:
-            continue
-        component = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+    for component in g.components:
         if len(component) % 2 == 1:
-            return ParityObstruction(tuple(sorted(component)))
+            return ParityObstruction(component)
     return None
 
 

@@ -1,9 +1,11 @@
 """Structural coloring machinery for 4-uniform hypergraphs.
 
 Connected uniform hypergraphs always contain an edge from which all but
-one vertex can be removed without disconnecting the rest (pick a pair of
-edges at maximum edge-distance whose shortest connecting path has the
-smallest final overlap). Ordering the remaining vertices by reverse
+one vertex can be removed without disconnecting the rest: take an edge
+farthest from edge 1 in the edge-intersection graph and keep a vertex it
+shares with an edge one step closer. No shortest path from edge 1 passes
+through a farthest edge, just as deleting a vertex farthest from a root
+never disconnects a graph. Ordering the remaining vertices by reverse
 breadth-first search then lets a single pass color connected 4-uniform
 hypergraphs of max degree 3 with 3 colors; peeling reduces higher degrees
 to that case, and for max degree at most 2 the exact conflict-free
@@ -13,13 +15,18 @@ chromatic number is decided outright (via the factor duality when
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .exact_cf import cf_colorable
 from .factors import cf2_via_duality
 from .greedy import peel_then_solve
-from .model import Hypergraph, HypergraphError, primal_adjacency, remove_vertices
+from .model import (
+    Hypergraph,
+    HypergraphError,
+    _bfs,
+    primal_adjacency,
+    remove_vertices,
+)
 from .verify import Coloring
 
 
@@ -61,30 +68,11 @@ class EliminationOrdering:
 
 
 def _edge_adjacency(h: Hypergraph) -> list[list[int]]:
-    """1-based adjacency between edges sharing at least one vertex."""
+    """1-based adjacency between edges sharing at least one vertex: the
+    primal graph of the dual, isolated vertices left out."""
     incident = h.incident_edges()
-    adj: list[set[int]] = [set() for _ in range(h.m + 1)]
-    for edges_at_v in incident[1:]:
-        for i, e in enumerate(edges_at_v):
-            for f in edges_at_v[i + 1:]:
-                adj[e].add(f)
-                adj[f].add(e)
-    return [sorted(s) for s in adj]
-
-
-def _bfs_hops(adj: list[list[int]], sources: list[int], size: int) -> list[int]:
-    dist = [-1] * (size + 1)
-    queue: deque[int] = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return primal_adjacency(
+        Hypergraph(h.m, tuple(tuple(inc) for inc in incident[1:] if inc)))
 
 
 def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:
@@ -99,7 +87,7 @@ def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:
     if e == f:
         return EdgePath((e,), None)
     adj = _edge_adjacency(h)
-    dist_to_f = _bfs_hops(adj, [f], h.m)
+    _, dist_to_f = _bfs(adj, f)
     if dist_to_f[e] < 0:
         return None
     path = [e]
@@ -121,15 +109,20 @@ def safe_separator(h: Hypergraph) -> Separator:
     """An edge and all-but-one of its vertices whose removal keeps the
     hypergraph connected.
 
-    Requires a connected uniform hypergraph. Candidates are drawn from the
-    edge pairs at maximum edge-distance: the far edge of the pair hosts the
-    separator and the kept vertex is shared with a penultimate geodesic
-    edge; candidates are tried by ascending (tail size, pair, penultimate,
-    kept vertex) and the first whose removal keeps the rest connected wins.
-    The smallest-tail candidate almost always works, but not universally
-    (rare tie patterns disconnect), hence the verified walk down the list;
-    as a last resort every (edge, kept vertex) choice is tested. With a
-    single edge, everything but its largest vertex is removed.
+    Requires a connected uniform hypergraph. One breadth-first search from
+    edge 1 over the edge-intersection graph finds the edges farthest from
+    it; no shortest path from edge 1 passes through one, so, as with a
+    vertex farthest from a root in a graph, such an edge can go without
+    cutting the others off, and no all-pairs distances are needed. A far
+    edge hosts the separator and keeps a vertex it shares with an edge one
+    step closer. Candidates are tried by ascending (tail size, host edge,
+    closer edge, kept vertex), the tail size being the overlap of the host
+    and the closer edge, and the first whose removal keeps the rest
+    connected wins. The first candidate almost always works, but not
+    universally (removing the host's other vertices can also cut edges
+    that reach edge 1 only through them), hence the verified walk down
+    the list; as a last resort every (edge, kept vertex) choice is tested.
+    With a single edge, everything but its largest vertex is removed.
     """
     if h.m < 1:
         raise HypergraphError("separator needs at least one edge")
@@ -143,33 +136,22 @@ def safe_separator(h: Hypergraph) -> Separator:
         return Separator(1, frozenset(edge[:-1]), edge[-1])
 
     adj = _edge_adjacency(h)
-    dist_from = [
-        _bfs_hops(adj, [e], h.m) if e else []
-        for e in range(h.m + 1)
-    ]
-    max_hops = 0
-    for e in range(1, h.m + 1):
-        for f in range(1, h.m + 1):
-            if e != f and dist_from[e][f] > max_hops:
-                max_hops = dist_from[e][f]
-
-    candidates: list[tuple[int, int, int, int, int]] = []
-    for e in range(1, h.m + 1):
-        de = dist_from[e]
-        for f in range(1, h.m + 1):
-            if e == f or de[f] != max_hops:
+    _, dist = _bfs(adj, 1)
+    far = max(dist)
+    candidates: list[tuple[int, int, int, int]] = []
+    for f in range(1, h.m + 1):
+        if dist[f] != far:
+            continue
+        fset = set(h.edge(f))
+        for g in adj[f]:
+            if dist[g] != far - 1:
                 continue
-            fset = set(h.edge(f))
-            for g in adj[f]:
-                if de[g] != max_hops - 1:
-                    continue
-                shared = sorted(set(h.edge(g)) & fset)
-                candidates.extend(
-                    (len(shared), e, f, g, v) for v in shared)
+            shared = sorted(set(h.edge(g)) & fset)
+            candidates.extend((len(shared), f, g, v) for v in shared)
     candidates.sort()
 
     tried: set[tuple[int, int]] = set()
-    for _, _, f, _, v in candidates:
+    for _, f, _, v in candidates:
         if (f, v) in tried:
             continue
         tried.add((f, v))
@@ -199,19 +181,7 @@ def elimination_ordering(h: Hypergraph, sep: Separator) -> EliminationOrdering:
     """
     shrunk, relabel = remove_vertices(h, sep.removed)
     back = {new: old for old, new in relabel.items()}
-    adj = primal_adjacency(shrunk)
-    root = relabel[sep.kept]
-    visit = []
-    dist = [-1] * (shrunk.n + 1)
-    dist[root] = 0
-    queue: deque[int] = deque([root])
-    while queue:
-        x = queue.popleft()
-        visit.append(x)
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    visit, _ = _bfs(primal_adjacency(shrunk), relabel[sep.kept])
     if len(visit) != shrunk.n:
         raise HypergraphError("ordering requires the shrunk hypergraph connected")
     order = sorted(sep.removed)
@@ -275,37 +245,14 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
     return Coloring(tuple(colors[1:]))
 
 
-def _connected_components(h: Hypergraph) -> list[tuple[list[int], list[int]]]:
-    """(sorted vertices, sorted 1-based edge indices) per component."""
-    adj = primal_adjacency(h)
-    incident = h.incident_edges()
-    seen = [False] * (h.n + 1)
-    out = []
-    for start in range(1, h.n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue: deque[int] = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comp.sort()
-        edge_ids = sorted({e for v in comp for e in incident[v]})
-        out.append((comp, edge_ids))
-    return out
-
-
 def _map_components(
     h: Hypergraph, solver
 ) -> Coloring:
     """Apply a per-component solver and merge the colorings (shared palette)."""
+    incident = h.incident_edges()
     colors = [1] * (h.n + 1)
-    for comp, edge_ids in _connected_components(h):
+    for comp in h.components:
+        edge_ids = sorted({e for v in comp for e in incident[v]})
         relabel = {v: i + 1 for i, v in enumerate(comp)}
         sub = Hypergraph(
             len(comp),

@@ -25,7 +25,8 @@ class StronglyIndependentSet:
 
 def maximal_strongly_independent_set(h: Hypergraph) -> StronglyIndependentSet:
     """Greedy maximal strongly independent set, built by ascending vertex id."""
-    members = _greedy_layer(h.m, list(range(1, h.n + 1)), h.incident_edges())
+    members = _greedy_layer(h.m, list(range(1, h.n + 1)), h.incident_edges(),
+                            [True] * (h.m + 1))
     return StronglyIndependentSet(frozenset(members))
 
 
@@ -33,20 +34,16 @@ def _greedy_layer(
     m: int,
     alive_vertices: list[int],
     incident: list[list[int]],
-    alive_edge: list[bool] | None = None,
+    alive_edge: list[bool],
 ) -> list[int]:
     """One greedy peel over the still-alive part of the hypergraph."""
     taken = [0] * (m + 1)  # members already inside each edge
     members = []
     for v in alive_vertices:
-        if all(
-            taken[e] == 0
-            for e in incident[v]
-            if alive_edge is None or alive_edge[e]
-        ):
+        if all(taken[e] == 0 for e in incident[v] if alive_edge[e]):
             members.append(v)
             for e in incident[v]:
-                if alive_edge is None or alive_edge[e]:
+                if alive_edge[e]:
                     taken[e] += 1
     return members
 
@@ -62,50 +59,36 @@ def _peel_layers(
     then makes uniquely colored.
     """
     incident = h.incident_edges()
-    alive_vertex = [True] * (h.n + 1)
+    live = [len(edges_at_v) for edges_at_v in incident]  # live edges per vertex
     alive_edge = [True] * (h.m + 1)
     alive_vertices = list(range(1, h.n + 1))
-
-    def max_degree() -> int:
-        best = 0
-        for v in alive_vertices:
-            d = sum(1 for e in incident[v] if alive_edge[e])
-            if d > best:
-                best = d
-        return best
-
     layers: list[list[int]] = []
-    while alive_vertices and max_degree() > stop_at_degree:
+    # a peeled vertex loses all its edges, so max(live) is over the survivors
+    while alive_vertices and max(live) > stop_at_degree:
         layer = _greedy_layer(h.m, alive_vertices, incident, alive_edge)
         layers.append(layer)
         for v in layer:
-            alive_vertex[v] = False
             for e in incident[v]:
-                alive_edge[e] = False
-        alive_vertices = [v for v in alive_vertices if alive_vertex[v]]
+                if alive_edge[e]:
+                    alive_edge[e] = False
+                    for w in h.edges[e - 1]:
+                        live[w] -= 1
+        in_layer = set(layer)
+        alive_vertices = [v for v in alive_vertices if v not in in_layer]
     return layers, alive_vertices, alive_edge
 
 
 def greedy_cf_coloring(h: Hypergraph) -> Coloring:
     """Conflict-free coloring with at most max_degree + 1 colors.
 
-    Layer i of the peeling gets color i; the final layers realize the
-    disjoint-edge base case (one designated vertex per edge, then the rest).
+    Layer i of the peeling gets color i and the vertices left once no edge
+    remains get the next color.
     """
-    incident = h.incident_edges()
-    alive_edge = [True] * (h.m + 1)
-    alive_vertices = list(range(1, h.n + 1))
-    colors = [0] * (h.n + 1)
-    layer_color = 0
-    while alive_vertices:
-        layer_color += 1
-        layer = _greedy_layer(h.m, alive_vertices, incident, alive_edge)
-        layer_set = set(layer)
+    layers, _, _ = _peel_layers(h, 0)
+    colors = [len(layers) + 1] * (h.n + 1)
+    for color, layer in enumerate(layers, start=1):
         for v in layer:
-            colors[v] = layer_color
-            for e in incident[v]:
-                alive_edge[e] = False
-        alive_vertices = [v for v in alive_vertices if v not in layer_set]
+            colors[v] = color
     return Coloring(tuple(colors[1:]))
 
 

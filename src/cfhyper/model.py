@@ -27,10 +27,11 @@ class Hypergraph:
     the edge list.
 
     The statistics ``max_degree``, ``uniform_r``, ``regular_a``,
-    ``connected`` and ``max_edge_degree`` (see HypergraphStats) are lazy:
-    each is computed on first read and cached outside the dataclass fields,
-    so equality and hashing ignore it. A Hypergraph is immutable, so the
-    cache cannot go stale. ``max_edge_degree`` costs by far the most.
+    ``connected`` and ``max_edge_degree`` (see HypergraphStats) and the
+    ``components`` behind ``connected`` are lazy: each is computed on first
+    read and cached outside the dataclass fields, so equality and hashing
+    ignore it. A Hypergraph is immutable, so the cache cannot go stale.
+    ``max_edge_degree`` costs by far the most.
     """
 
     n: int
@@ -93,8 +94,9 @@ class Hypergraph:
         return degrees.pop() if len(degrees) == 1 else None
 
     @cached_property
-    def connected(self) -> bool:
-        """True when edges chain every two vertices (always for n <= 1)."""
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of the connected components, each sorted, ordered by
+        smallest vertex; an isolated vertex is a component of its own."""
         parent = list(range(self.n + 1))  # union-find forest
 
         def find(v: int) -> int:
@@ -107,7 +109,15 @@ class Hypergraph:
             root = find(edge[0])
             for v in edge[1:]:
                 parent[find(v)] = root
-        return len({find(v) for v in range(1, self.n + 1)}) <= 1
+        groups: dict[int, list[int]] = {}
+        for v in range(1, self.n + 1):
+            groups.setdefault(find(v), []).append(v)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_property
+    def connected(self) -> bool:
+        """True when edges chain every two vertices (always for n <= 1)."""
+        return len(self.components) <= 1
 
     @cached_property
     def max_edge_degree(self) -> int:
@@ -198,6 +208,23 @@ def primal_adjacency(h: Hypergraph) -> list[list[int]]:
                 adj[v].add(w)
                 adj[w].add(v)
     return [sorted(s) for s in adj]
+
+
+def _bfs(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search over an adjacency list indexed from 1.
+
+    Returns the visit order from ``source`` and the hop distance of every
+    index (-1 when unreached).
+    """
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    order = [source]
+    for x in order:  # the visit order doubles as the queue
+        for y in adj[x]:
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                order.append(y)
+    return order, dist
 
 
 def _edge_degree_by_masks(h: Hypergraph) -> int:

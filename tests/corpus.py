@@ -9,7 +9,6 @@ import random
 from functools import lru_cache
 
 from cfhyper import Hypergraph
-from cfhyper.four_uniform import _connected_components
 
 
 def random_uniform_hypergraph(
@@ -31,11 +30,9 @@ def random_uniform_hypergraph(
 
 def largest_component(h: Hypergraph) -> Hypergraph:
     """The sub-hypergraph induced by the component with the most vertices."""
-    best_comp: list[int] = []
-    best_edges: list[int] = []
-    for comp, edge_ids in _connected_components(h):
-        if len(comp) > len(best_comp):
-            best_comp, best_edges = comp, edge_ids
+    best_comp = max(h.components, key=len, default=())
+    incident = h.incident_edges()
+    best_edges = sorted({e for v in best_comp for e in incident[v]})
     relabel = {v: i + 1 for i, v in enumerate(best_comp)}
     return Hypergraph(
         len(best_comp),

@@ -320,6 +320,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ("chi-cf", "--max-k", "0"),
+    ("color", "--algo", "exact", "--colors", "0", "-o", "out.col"),
+    ("color", "--algo", "lll", "--colors", "0", "-o", "out.col"),
+])
+def test_palette_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    hg = tmp_path / "e.hg"
+    hg.write_text("hypergraph 3 1\n1 2 3\n")
+    argv = [str(tmp_path / a) if a == "out.col" else a for a in argv]
+    code, out, err = run(capsys, *argv, str(hg))
+    assert code == 64
+    assert "usage error" in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out.col").exists()
+
+
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "stats", "/nonexistent/file.hg")
     assert code == 64  # click validates the path before the command runs

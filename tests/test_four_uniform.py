@@ -96,6 +96,29 @@ def test_separator_properties_on_corpus():
         assert stats(shrunk).connected
 
 
+def test_separator_walks_past_a_disconnecting_candidate(monkeypatch):
+    # on this instance the first single-source candidate disconnects, so the
+    # verified walk has to go on down the candidate list
+    import cfhyper.four_uniform as fu
+
+    h = connected_4uniform_corpus(count=500)[188]
+    checked = []
+
+    def keeps_connected(host, removed):
+        checked.append(removed)
+        return remove_vertices(host, removed)[0].connected
+
+    monkeypatch.setattr(fu, "_keeps_connected", keeps_connected)
+    sep = safe_separator(h)
+    assert len(checked) >= 2
+    assert not remove_vertices(h, checked[0])[0].connected
+    assert checked[-1] == sep.removed
+    assert len(sep.removed) == 3
+    assert sep.removed < set(h.edge(sep.host_edge))
+    assert sep.kept in h.edge(sep.host_edge)
+    assert remove_vertices(h, sep.removed)[0].connected
+
+
 def test_elimination_ordering_single_edge():
     h = Hypergraph.from_edges(4, [(1, 2, 3, 4)])
     sep = safe_separator(h)

@@ -1,3 +1,5 @@
+import hashlib
+
 from cfhyper import (
     Hypergraph,
     greedy_cf_coloring,
@@ -7,6 +9,7 @@ from cfhyper import (
     stats,
 )
 from cfhyper.constructions import build_g_tr, complete_graph
+from cfhyper.greedy import _peel_layers
 from cfhyper.model import dual
 
 from corpus import mixed_corpus
@@ -51,6 +54,20 @@ def test_peel_drops_degree():
                 deg[v] = deg.get(v, 0) + 1
         new_max = max(deg.values(), default=0)
         assert new_max <= max(st.max_degree - 1, 0)
+
+
+def test_greedy_and_peel_match_golden_digest():
+    # recorded from the earlier code, in which greedy_cf_coloring ran a peel
+    # loop of its own and _peel_layers rescanned degrees before each layer
+    digest = hashlib.sha256()
+    for h in mixed_corpus(1000):
+        digest.update(repr(greedy_cf_coloring(h).colors).encode())
+        for d in range(1, 5):
+            layers, kept, alive = _peel_layers(h, d)
+            live = [i for i, a in enumerate(alive) if a and i]
+            digest.update(repr((layers, kept, live)).encode())
+    assert digest.hexdigest() == (
+        "003e3b4cc95acdd03fb3e6e0074f3af0b7e539cafa50b7ab283caa50d70c7788")
 
 
 def test_greedy_k4():

@@ -97,6 +97,26 @@ def test_lazy_stats_match_reference(h):
     assert hash(h) == hash(Hypergraph(h.n, h.edges))
 
 
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    cases = list(mixed_corpus(count=300)) + [
+        Hypergraph(0, ()),
+        Hypergraph(4, ()),  # isolated vertices only
+        Hypergraph(6, ((2, 5), (2, 5), (3,), (1, 6))),  # parallel edges
+        Hypergraph.from_edges(7, [(4, 7), (1, 4, 6), (1, 4, 6), (2,)]),
+    ]
+    for h in cases:
+        primal = nx.Graph()
+        primal.add_nodes_from(range(1, h.n + 1))
+        primal.add_edges_from((e[0], v) for e in h.edges for v in e[1:])
+        ours = h.components
+        assert all(list(c) == sorted(c) for c in ours), h
+        assert [c[0] for c in ours] == sorted(c[0] for c in ours), h
+        ref = sorted(tuple(sorted(c)) for c in nx.connected_components(primal))
+        assert list(ours) == ref, h
+        assert Hypergraph(h.n, h.edges).connected == (len(ref) <= 1)
+
+
 def test_invariants_rejected():
     with pytest.raises(HypergraphError):
         Hypergraph(2, ((1, 1),))
