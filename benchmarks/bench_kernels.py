@@ -12,8 +12,11 @@ of a ratio alike. The table gives each backend's median time and the
 median of the per-repetition pure/compiled ratios.
 
 Workloads:
-* factor refutation: the exhaustive proof that the 7-regular 54-vertex
-  counterexample graph has no {1,6}-factor (block searches dominate);
+* block refutation: the kernel's exhaustive UNSAT searches on the
+  building block of the 7-regular counterexample graph with its hub at
+  degree 0 and 3, every other vertex at degree 1 or 6. find_ab_factor
+  no longer sends these queries to the kernel (its signed-sum test
+  refutes them), so they are posed to the kernel directly;
 * exact coloring: conflict-free chromatic number of the 3-regular
   mixed-size gadget on 24 vertices (backtracking dominates).
 """
@@ -28,21 +31,32 @@ from statistics import median
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cfhyper.constructions import build_g_tr, k4e_gadget  # noqa: E402
+from cfhyper.constructions import build_h_block, k4e_gadget  # noqa: E402
 from cfhyper.kernels import available_backends  # noqa: E402
 
 
-def bench_factor(impl) -> None:
-    import cfhyper.factors as factors
+def _hub_queries(t: int, r: int) -> list[tuple]:
+    """The kernel queries of h_block(t, r) with its hub pinned to degree 0
+    or t + 2, the two the paper's counting argument rules out."""
+    h, roles = build_h_block(t, r)
+    hub = roles.vertices("u")[0] - 1
+    eu = [u - 1 for u, _ in h.edges]
+    ev = [v - 1 for _, v in h.edges]
+    queries = []
+    for degree in (0, t + 2):
+        allowed = [(t, r - t)] * h.n
+        allowed[hub] = (degree,)
+        queries.append((h.n, eu, ev, allowed))
+    return queries
 
-    original = factors.kernels.solve_degree_constrained
-    factors.kernels.solve_degree_constrained = impl.solve_degree_constrained
-    try:
-        g, _ = build_g_tr(1, 7)
-        result = factors.find_ab_factor(g, 1, 6)
-        assert result is None
-    finally:
-        factors.kernels.solve_degree_constrained = original
+
+HUB_QUERIES = _hub_queries(1, 7)
+
+
+def bench_factor(impl) -> None:
+    for n, eu, ev, allowed in HUB_QUERIES:
+        status, _, _ = impl.solve_degree_constrained(n, eu, ev, allowed, 10**8)
+        assert status == impl.UNSAT
 
 
 def bench_chi_cf(impl) -> None:
@@ -54,7 +68,7 @@ def bench_chi_cf(impl) -> None:
 
 
 WORKLOADS = [
-    ("{1,6}-factor refutation, 54 vertices", bench_factor),
+    ("{1,6} hub-degree refutations, 14-vertex block", bench_factor),
     ("exact chi_cf of the 24-vertex gadget", bench_chi_cf),
 ]
 

@@ -7,6 +7,13 @@ each biconnected block with the degree-constrained kernel, once per
 degree of its parent cut vertex, with each other cut vertex allowed every
 degree its child blocks can complete to a or b; a tree DP then combines
 the blocks.
+Before each block query goes to the kernel, a signed-sum test tries to
+refute it: for signs s_v = +-1 on the block's vertices, the sum of
+s_v * deg_F(v) equals the sum over edges uv of F of s_u + s_v, so the
+signed degrees the allowed sets can produce must meet the even numbers
+the edges can produce. A query the test refutes has no solution and is
+not searched; this is the paper's counting argument on the g_tr blocks
+and the parity argument on odd components.
 The duality bridge turns a {1, r-1}-factor of the dual graph of a
 2-regular r-uniform hypergraph into a conflict-free 2-coloring and back.
 """
@@ -14,10 +21,10 @@ The duality bridge turns a {1, r-1}-factor of the dual graph of a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from . import kernels
-from .model import Hypergraph, HypergraphError, dual
+from .model import Hypergraph, HypergraphError, _bfs, dual
 from .verify import Coloring, is_conflict_free
 
 DEFAULT_BUDGET = 10**8
@@ -162,6 +169,99 @@ def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:
     return blocks, cuts
 
 
+def _signings(adj: list[list[int]]) -> list[tuple[int, ...]]:
+    """The signings the signed-sum test tries, as +1/-1 per vertex.
+
+    First a BFS 2-colouring from vertex 0, turned into a local max-cut:
+    odd cycles leave some edges inside one side, and a vertex with more
+    same-sign than opposite-sign neighbours is flipped until none is left
+    (each flip cuts more edges, so this ends). Without the flips the
+    colouring of a non-bipartite block depends on the vertex numbering.
+    Then all +1, which is the parity argument.
+    """
+    _, dist = _bfs(adj, 0) if adj else ((), [])
+    signs = [-1 if d % 2 else 1 for d in dist]  # unreached: -1, any sign is sound
+    sign_of = signs.__getitem__
+    flipped = True
+    while flipped:
+        flipped = False
+        for v, near in enumerate(adj):
+            if signs[v] * sum(map(sign_of, near)) > 0:
+                signs[v] = -signs[v]
+                flipped = True
+    return [tuple(signs), (1,) * len(adj)]
+
+
+def _add_vertex(sums: int, sign: int, deg: int, allowed: Iterable[int]) -> int:
+    """The left-side bitset ``sums`` with one more vertex's term s_v * x added."""
+    out = 0
+    for x in allowed:
+        if 0 <= x <= deg:
+            out |= sums << (x if sign > 0 else deg - x)
+    return out
+
+
+class _SignedSum:
+    """The signed-sum test on the queries of one block, prepared once.
+
+    For signs s_v, every edge subset F satisfies
+    sum_v s_v * deg_F(v) = sum_{uv in F} (s_u + s_v), and each edge adds
+    -2, 0 or +2. So the right side is an even number in [-2Q, 2P], with P
+    and Q the edges whose ends are both positive or both negative, and the
+    left side is a sum of one term s_v * x per vertex, x an allowed degree
+    in 0..deg(v). If no left side equals a right side, no F exists.
+
+    Both sides are bitsets, shifted by the degree total of the negative
+    vertices, 2Q + X with X the edges whose ends differ in sign. A vertex
+    adds its term as a shift by x when positive and by deg(v) - x when
+    negative, and the right side becomes X, X + 2, .., 2m - X. Vertices in
+    ``fixed`` have the same allowed degrees in every query, so their part
+    of the left side is summed here once per signing.
+    """
+
+    def __init__(self, n: int, eu: Sequence[int], ev: Sequence[int],
+                 fixed: dict[int, Iterable[int]]):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(eu, ev):
+            adj[u].append(v)
+            adj[v].append(u)
+        self.deg = deg = list(map(len, adj))
+        self.rest = [v for v in range(n) if v not in fixed]
+        self.tests: list[tuple[tuple[int, ...], int, int]] = []
+        m = len(eu)
+        for signs in _signings(adj):
+            cut = sum(signs[u] != signs[v] for u, v in zip(eu, ev))
+            mask = (((1 << 2 * (m - cut) + 2) - 1) // 3) << cut  # every other bit
+            sums = 1  # the empty sum, 0
+            for v, allowed in fixed.items():
+                sums = _add_vertex(sums, signs[v], deg[v], allowed)
+            self.tests.append((signs, mask, sums))
+
+    def refute(self, allowed: Sequence[Iterable[int]]) -> tuple[int, ...] | None:
+        """A signing that refutes the query in which vertex ``rest[i]`` may
+        take the degrees ``allowed[i]``, or None when no signing does."""
+        for signs, mask, sums in self.tests:
+            for v, allowed_v in zip(self.rest, allowed):
+                sums = _add_vertex(sums, signs[v], self.deg[v], allowed_v)
+            if not sums & mask:
+                return signs
+        return None
+
+
+def signed_sum_refutation(
+    n: int, eu: Sequence[int], ev: Sequence[int],
+    allowed: Sequence[Iterable[int]],
+) -> tuple[int, ...] | None:
+    """Signed-sum test on one degree-constrained query, in the kernel's
+    terms (see kernels.solve_degree_constrained).
+
+    Returns a signing, +1/-1 per vertex, under which the query has no
+    solution, or None when no signing the test tries refutes it; None
+    decides nothing.
+    """
+    return _SignedSum(n, eu, ev, dict(enumerate(allowed))).refute(())
+
+
 @dataclass
 class _Block:
     edges: list[int]  # global 0-based edge ids, ascending
@@ -169,11 +269,17 @@ class _Block:
     cut_vertices: list[int]  # sorted; subset of vertices
     eu: list[int]  # the edges' endpoints as indices into vertices
     ev: list[int]
+    signed_sum: _SignedSum  # every vertex but the cut vertices is fixed to {a, b}
     parent_cut: int | None = None
 
     def degree(self, v: int) -> int:
-        i = self.vertices.index(v)
-        return self.eu.count(i) + self.ev.count(i)
+        return self.signed_sum.deg[self.vertices.index(v)]
+
+    def refuted(self, allowed_at: dict[int, Iterable[int]]) -> bool:
+        """Whether the signed-sum test refutes the query that gives each
+        cut vertex c the degrees allowed_at[c]."""
+        cut_allowed = [allowed_at[c] for c in self.cut_vertices]
+        return self.signed_sum.refute(cut_allowed) is not None
 
 
 def _sumset(parts: list[Iterable[int]], cap: int) -> set[int]:
@@ -204,6 +310,17 @@ def find_ab_factor(
     s a sum of feasible degrees of the child blocks hanging at c; every
     other vertex must reach a or b. The root block is solved once.
 
+    Each tree is swept twice. The first sweep asks only the signed-sum
+    test (see _SignedSum; two signings, a BFS 2-colouring made a local
+    max-cut and all +1), with each block keeping the degrees the test does
+    not refute, and charges one node per test; on g_tr(t, r) it excludes
+    the hub degrees the paper's counting argument excludes and refutes the
+    graph before any kernel query. The second sweep asks the kernel,
+    except for degrees the first sweep refuted and queries the test
+    refutes once child results have narrowed an allowed set (one node
+    each). Only unsolvable queries are skipped, so witnesses and verdicts
+    are those of the kernel alone.
+
     The witness is the root block's first solution. Top-down, each cut
     vertex then takes target a if its child blocks can make up the
     difference, else b; the difference goes to the child blocks in order,
@@ -222,12 +339,16 @@ def find_ab_factor(
     for raw in blocks_raw:
         verts = sorted({v for eid in raw for v in g.edges[eid]})
         local = {v: i for i, v in enumerate(verts)}
+        eu = [local[g.edges[eid][0]] for eid in raw]
+        ev = [local[g.edges[eid][1]] for eid in raw]
         blocks.append(_Block(
             edges=raw,
             vertices=verts,
             cut_vertices=[v for v in verts if v in cuts],
-            eu=[local[g.edges[eid][0]] for eid in raw],
-            ev=[local[g.edges[eid][1]] for eid in raw],
+            eu=eu,
+            ev=ev,
+            signed_sum=_SignedSum(len(verts), eu, ev, {
+                i: (a, b) for i, v in enumerate(verts) if v not in cuts}),
         ))
 
     blocks_of_cut: dict[int, list[int]] = {}
@@ -237,22 +358,76 @@ def find_ab_factor(
 
     nodes_used = 0
 
-    def solve(blk: _Block, allowed_at: dict[int, Iterable[int]]) -> list[int] | None:
+    def charge(nodes: int) -> None:
+        # every block query is charged at least one node, a refuted one too
         nonlocal nodes_used
+        nodes_used += max(nodes, 1)
+        if nodes_used > budget:
+            raise SearchBudgetExceeded(nodes_used)
+
+    # sumset of child contributions per (cut vertex, parent block)
+    child_sum: dict[tuple[int, int], set[int]] = {}
+    child_blocks: dict[tuple[int, int], list[int]] = {}
+
+    def sweep(order: list[int], ask: Callable[..., Any]
+              ) -> dict[int, dict[int | None, Any]] | None:
+        """Per block of one block-cut tree, bottom-up, the answers of
+        ask(bi, d, allowed_at, narrowed) that are not None, keyed by the
+        degree d of the parent cut vertex (None for the root); narrowed
+        tells whether an allowed set is smaller than in the sweep before.
+        None as soon as a block has no answer or a cut vertex no degree
+        its child blocks suit."""
+        found: dict[int, dict[int | None, Any]] = {}
+        for bi in reversed(order):
+            blk = blocks[bi]
+            allowed_at: dict[int, Iterable[int]] = {}
+            narrowed = False
+            for c in blk.cut_vertices:
+                if c == blk.parent_cut:
+                    continue
+                sums = _sumset([found[k].keys() for k in child_blocks[(c, bi)]], b)
+                narrowed = narrowed or child_sum.get((c, bi)) != sums
+                child_sum[(c, bi)] = sums
+                top = blk.degree(c)
+                allowed_at[c] = {t - s for t in (a, b) for s in sums if 0 <= t - s <= top}
+                if not allowed_at[c]:
+                    return None
+            if blk.parent_cut is None:
+                answers = {None: ask(bi, None, allowed_at, narrowed)}
+            else:
+                answers = {}
+                for d in range(min(blk.degree(blk.parent_cut), b) + 1):
+                    allowed_at[blk.parent_cut] = (d,)
+                    answers[d] = ask(bi, d, allowed_at, narrowed)
+            found[bi] = {d: ans for d, ans in answers.items() if ans is not None}
+            if not found[bi]:
+                return None
+        return found
+
+    def relaxed(bi: int, d: int | None, allowed_at: dict[int, Iterable[int]],
+                narrowed: bool) -> bool | None:
+        refuted = blocks[bi].refuted(allowed_at)
+        charge(1)
+        return None if refuted else True
+
+    def solve(bi: int, d: int | None, allowed_at: dict[int, Iterable[int]],
+              narrowed: bool) -> list[int] | None:
+        if d not in possible[bi]:
+            return None  # refuted, and charged, in the first sweep
+        blk = blocks[bi]
+        # the first sweep's test passed this query; it can only fail now
+        # if an allowed set has shrunk since
+        if narrowed and blk.refuted(allowed_at):
+            charge(1)
+            return None
         status, sel, spent = kernels.solve_degree_constrained(
             len(blk.vertices), blk.eu, blk.ev,
             [allowed_at.get(v, (a, b)) for v in blk.vertices],
             budget - nodes_used)
-        nodes_used += max(spent, 1)
-        if status == kernels.BUDGET or nodes_used > budget:
+        charge(spent)
+        if status == kernels.BUDGET:
             raise SearchBudgetExceeded(nodes_used)
         return sel
-
-    # per block: feasible parent-cut degree -> first witness for it
-    witness: list[dict[int, list[int]]] = [{} for _ in blocks]
-    # sumset of child contributions per (cut vertex, parent block)
-    child_sum: dict[tuple[int, int], set[int]] = {}
-    child_blocks: dict[tuple[int, int], list[int]] = {}
 
     selected: set[int] = set()
 
@@ -284,34 +459,22 @@ def find_ab_factor(
                     blocks[other].parent_cut = c
                     order.append(other)
 
-        # solve blocks bottom-up
-        for bi in reversed(order):
-            blk = blocks[bi]
-            allowed_at: dict[int, Iterable[int]] = {}
-            for c in blk.cut_vertices:
-                if c == blk.parent_cut:
-                    continue
-                sums = _sumset([witness[k].keys() for k in child_blocks[(c, bi)]], b)
-                child_sum[(c, bi)] = sums
-                top = blk.degree(c)
-                allowed_at[c] = {t - s for t in (a, b) for s in sums if 0 <= t - s <= top}
-                if not allowed_at[c]:
-                    return None  # no degree at c suits its child blocks
-            if blk.parent_cut is None:
-                root_sel = solve(blk, allowed_at)
-                if root_sel is None:
-                    return None
-                continue
-            for d in range(min(blk.degree(blk.parent_cut), b) + 1):
-                allowed_at[blk.parent_cut] = (d,)
-                sel = solve(blk, allowed_at)
-                if sel is not None:
-                    witness[bi][d] = sel
-            if not witness[bi]:
-                return None  # the subtree below is infeasible outright
+        # First the signed-sum test alone: each block keeps the parent-cut
+        # degrees it does not refute, a superset of the feasible ones, so the
+        # allowed sets built from them are supersets too and a refutation
+        # under them holds for the exact query. This refutes g_tr(t, r)
+        # before any kernel query, wherever the numbering puts the root.
+        possible = sweep(order, relaxed)
+        if possible is None:
+            return None
+        # then the kernel, on the degrees left: per block, feasible
+        # parent-cut degree -> first witness for it
+        witness = sweep(order, solve)
+        if witness is None:
+            return None
 
         # reconstruct: walk the tree top-down, fixing one witness per block
-        pending = [(root_bi, root_sel)]
+        pending = [(root_bi, witness[root_bi][None])]
         while pending:
             bi, sel = pending.pop()
             blk = blocks[bi]

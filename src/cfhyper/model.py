@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 
 class HypergraphError(ValueError):
@@ -40,19 +40,19 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise HypergraphError(f"vertex count must be >= 0, got {self.n}")
+        n = self.n
         for idx, edge in enumerate(self.edges, start=1):
-            if not edge:
-                raise HypergraphError(f"edge {idx} is empty")
+            # one comparison per vertex: strictly increasing from 0 puts
+            # every vertex at >= 1, so only the last one needs the bound n
             prev = 0
             for v in edge:
-                if not 1 <= v <= self.n:
-                    raise HypergraphError(
-                        f"edge {idx} contains vertex {v}, outside 1..{self.n}")
-                if v == prev:
-                    raise HypergraphError(f"edge {idx} repeats vertex {v}")
-                if v < prev:
-                    raise HypergraphError(f"edge {idx} is not sorted")
+                if v <= prev:
+                    break
                 prev = v
+            else:
+                if edge and prev <= n:
+                    continue
+            _reject_edge(idx, edge, n)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
@@ -210,8 +210,25 @@ def primal_adjacency(h: Hypergraph) -> list[list[int]]:
     return [sorted(s) for s in adj]
 
 
+def _reject_edge(idx: int, edge: tuple[int, ...], n: int) -> NoReturn:
+    """Raise the HypergraphError for the first fault of an invalid edge."""
+    if not edge:
+        raise HypergraphError(f"edge {idx} is empty")
+    prev = 0
+    for v in edge:
+        if not 1 <= v <= n:
+            raise HypergraphError(f"edge {idx} contains vertex {v}, outside 1..{n}")
+        if v == prev:
+            raise HypergraphError(f"edge {idx} repeats vertex {v}")
+        if v < prev:
+            raise HypergraphError(f"edge {idx} is not sorted")
+        prev = v
+    raise AssertionError(f"edge {idx} is valid")
+
+
 def _bfs(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
-    """Breadth-first search over an adjacency list indexed from 1.
+    """Breadth-first search over an adjacency list (an unused entry 0,
+    as for 1-based vertices, stays unreached).
 
     Returns the visit order from ``source`` and the hop distance of every
     index (-1 when unreached).

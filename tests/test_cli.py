@@ -124,6 +124,16 @@ def test_factor_budget(tmp_path, capsys):
     assert out.strip() == "BUDGET"
 
 
+def test_factor_refutes_g_tr_1_11(tmp_path, capsys):
+    g = tmp_path / "g.hg"
+    run(capsys, "gen", "--construction", "g_tr", "--t", "1", "--r", "11",
+        "-o", str(g))
+    code, out, err = run(capsys, "factor", "--a", "1", "--b", "10", str(g))
+    assert code == 1
+    assert out.strip() == "NONE"
+    assert "parity" not in err
+
+
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_factor_numbers_past_machine_ints(tmp_path, capsys, monkeypatch, backend):
     # the compiled kernel takes C integers; a larger budget or degree must

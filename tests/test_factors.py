@@ -14,8 +14,8 @@ from cfhyper import (
     is_conflict_free,
     parity_precheck,
 )
-from cfhyper.constructions import build_g_tr, complete_graph, odd_cycle
-from cfhyper import kernels
+from cfhyper.constructions import build_g_tr, build_h_block, complete_graph, odd_cycle
+from cfhyper import factors, kernels
 from cfhyper.factors import _biconnected_blocks
 
 from corpus import octahedron, petersen, random_uniform_hypergraph, ring_of_k4
@@ -77,6 +77,34 @@ def test_g17_has_no_16_factor():
 def test_g19_has_no_18_factor():
     g, _ = build_g_tr(1, 9)
     assert find_ab_factor(g, 1, 8) is None
+
+
+def _relabelled(g, seed):
+    rng = random.Random(seed)
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    edges = [[perm[v - 1] for v in e] for e in g.edges]
+    rng.shuffle(edges)
+    return Hypergraph.from_edges(g.n, edges)
+
+
+@pytest.mark.parametrize("r", [11, 13])
+def test_relabelled_g_tr_is_refuted_under_the_default_budget(r):
+    # the kernel alone took the whole default budget here (about 21 s)
+    g, _ = build_g_tr(1, r)
+    for seed in range(3):
+        h = _relabelled(g, seed)
+        start = time.perf_counter()
+        assert find_ab_factor(h, 1, r - 1) is None
+        assert time.perf_counter() - start < 1.0, seed
+
+
+@pytest.mark.parametrize("t, r", [(1, 21), (3, 21)])
+def test_g_tr_21_is_refuted_without_the_kernel(monkeypatch, t, r):
+    counts = _count_queries(monkeypatch)
+    g, _ = build_g_tr(t, r)
+    assert find_ab_factor(g, t, r - t) is None
+    assert counts["kernel"] == 0 and counts["refuted"] > 0
 
 
 def test_k5_has_no_13_factor_by_search():
@@ -251,30 +279,43 @@ def test_factor_against_brute_force_star_shaped():
     assert min(verdicts.values()) >= 10, verdicts
 
 
-def _count_kernel_calls(monkeypatch):
-    calls = [0]
-    solve = kernels.solve_degree_constrained
+def _count_queries(monkeypatch):
+    """Counters of kernel calls, signed-sum tests and signed-sum refutations.
 
-    def counted(*args):
-        calls[0] += 1
+    A query the test refutes never reaches the kernel."""
+    counts = {"kernel": 0, "tests": 0, "refuted": 0}
+    solve = kernels.solve_degree_constrained
+    refute = factors._SignedSum.refute
+
+    def counted_solve(*args):
+        counts["kernel"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(kernels, "solve_degree_constrained", counted)
-    return calls
+    def counted_refute(self, allowed):
+        counts["tests"] += 1
+        signs = refute(self, allowed)
+        counts["refuted"] += signs is not None
+        return signs
+
+    monkeypatch.setattr(kernels, "solve_degree_constrained", counted_solve)
+    monkeypatch.setattr(factors._SignedSum, "refute", counted_refute)
+    return counts
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 5, 30, 200, 1000])
 @pytest.mark.parametrize("case", ["ring_of_k4(14)", "g_tr(1,9)"])
 def test_budget_bounds_kernel_calls(monkeypatch, case, budget):
-    # every query is charged at least one node, zero-node refutations too
+    # every block query is charged at least one node, also when the
+    # signed-sum test refutes it and the kernel is never called
     g, a, b = ((ring_of_k4(14), 2, 4) if case == "ring_of_k4(14)"
                else (build_g_tr(1, 9)[0], 1, 8))
-    calls = _count_kernel_calls(monkeypatch)
+    counts = _count_queries(monkeypatch)
     try:
         find_ab_factor(g, a, b, budget=budget)
     except SearchBudgetExceeded:
         pass
-    assert 0 < calls[0] <= budget + 1
+    assert 0 < counts["tests"] <= budget + 1
+    assert counts["kernel"] + counts["refuted"] <= budget + 1
 
 
 def test_ring_of_k4_is_fast():
@@ -288,12 +329,92 @@ def test_ring_of_k4_is_fast():
 
 def test_ring_of_k4_one_query_per_parent_degree(monkeypatch):
     # the ring is the root block, solved once; each K4 once per degree
-    # 0..3 of its cut vertex
-    calls = _count_kernel_calls(monkeypatch)
+    # 0..3 of its cut vertex, where parity refutes the odd degrees without
+    # the kernel
+    counts = _count_queries(monkeypatch)
     g = ring_of_k4(40)
     f = find_ab_factor(g, 2, 4)
     assert f is not None and factor_defects(g, f) == []
-    assert calls[0] == 1 + 4 * 40
+    assert counts["kernel"] + counts["refuted"] == 1 + 4 * 40
+    assert counts["kernel"] < 1 + 4 * 40
+
+
+def _signed_sides_meet(n, eu, ev, allowed, signs):
+    """Both sides of sum_v s_v * deg_F(v) = sum_{uv in F} (s_u + s_v),
+    recomputed from scratch as sets: whether some signed sum of allowed
+    degrees is an even number in [-2Q, 2P]."""
+    deg = [0] * n
+    pos = neg = 0
+    for u, v in zip(eu, ev):
+        deg[u] += 1
+        deg[v] += 1
+        pos += signs[u] + signs[v] == 2
+        neg += signs[u] + signs[v] == -2
+    left = {0}
+    for v in range(n):
+        left = {s + signs[v] * x for s in left for x in allowed[v] if 0 <= x <= deg[v]}
+    return any(s % 2 == 0 and -2 * neg <= s <= 2 * pos for s in left)
+
+
+def _random_connected_query(rng):
+    n = rng.randint(2, 9)
+    eu, ev = [], []
+    for v in range(1, n):  # a random spanning tree, then extra edges
+        eu.append(rng.randrange(v))
+        ev.append(v)
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        eu.append(u)
+        ev.append(v)
+    a = rng.randint(1, 3)
+    b = a + rng.randint(0, 4)
+    allowed = [{a, b} for _ in range(n)]
+    for v in rng.sample(range(n), rng.randint(0, min(2, n))):
+        allowed[v] = set(rng.sample(range(0, 7), rng.randint(1, 2)))
+    return n, eu, ev, allowed
+
+
+def test_signed_sum_refutation_is_sound():
+    """A refuted query is UNSAT on every backend, and the returned signing
+    separates the two sides of the identity when recomputed by hand."""
+    rng = random.Random(2718)
+    refuted = unsat = 0
+    for trial in range(1000):
+        n, eu, ev, allowed = _random_connected_query(rng)
+        signs = factors.signed_sum_refutation(n, eu, ev, allowed)
+        statuses = {
+            impl.solve_degree_constrained(n, eu, ev, allowed, 10**7)[0]
+            for impl in kernels.available_backends().values()}
+        assert len(statuses) == 1
+        unsat += statuses == {kernels.UNSAT}
+        if signs is None:
+            continue
+        refuted += 1
+        assert len(signs) == n and set(signs) <= {1, -1}
+        assert not _signed_sides_meet(n, eu, ev, allowed, signs), (n, eu, ev, allowed)
+        assert statuses == {kernels.UNSAT}, (n, eu, ev, allowed)
+    assert refuted > unsat // 2 > 100, (refuted, unsat)
+
+
+def test_signed_sum_refutes_the_hub_degrees_of_h_block():
+    # the paper's counting argument modulo r - 2t: in h_block(t, r) the hub
+    # cannot take degree 0 or t + 2; the other hub degrees are feasible.
+    # Relabelled, because the BFS signing depends on the numbering.
+    rng = random.Random(99)
+    for t, r in ((1, 7), (1, 7), (1, 7), (1, 7), (1, 9), (3, 21)):
+        h, roles = build_h_block(t, r)
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        hub = perm[roles.vertices("u")[0] - 1]
+        eu = [perm[u - 1] for u, _ in h.edges]
+        ev = [perm[v - 1] for _, v in h.edges]
+        for d in range(t + 3):
+            allowed = [{t, r - t}] * h.n
+            allowed[hub] = {d}
+            signs = factors.signed_sum_refutation(h.n, eu, ev, allowed)
+            assert (signs is not None) == (d in (0, t + 2)), (t, r, d)
+            if signs is not None:
+                assert not _signed_sides_meet(h.n, eu, ev, allowed, signs)
 
 
 def test_biconnected_blocks_match_networkx():

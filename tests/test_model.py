@@ -130,6 +130,22 @@ def test_invariants_rejected():
     assert Hypergraph.from_edges(3, [(3, 1, 2)]).edges == ((1, 2, 3),)
 
 
+@pytest.mark.parametrize("edges, message", [
+    (((1, 2), ()), "edge 2 is empty"),
+    (((0, 1),), "edge 1 contains vertex 0, outside 1..3"),
+    (((2, 4),), "edge 1 contains vertex 4, outside 1..3"),
+    (((5, 5),), "edge 1 contains vertex 5, outside 1..3"),  # range before repeat
+    (((1, 2, 2),), "edge 1 repeats vertex 2"),
+    (((1, 3, 2),), "edge 1 is not sorted"),
+    (((3, 1, 4),), "edge 1 is not sorted"),  # order before range
+    (((1, 2), (2, 3), (3, 1)), "edge 3 is not sorted"),
+])
+def test_invariant_messages(edges, message):
+    with pytest.raises(HypergraphError) as info:
+        Hypergraph(3, edges)
+    assert str(info.value) == message
+
+
 def test_stats_single_edge():
     h = Hypergraph.from_edges(4, [(1, 2, 3, 4)])
     st_ = stats(h)
