@@ -1,19 +1,48 @@
-"""Brute-force chromatic oracles.
+"""Exact chromatic oracles.
 
-Exact conflict-free and proper chromatic numbers by complete backtracking;
-the ground truth the algorithmic modules are validated against. Intended
-scale is roughly n <= 20 (more when edges prune well); vertex order is the
-input order and ties are broken toward smaller colors, so results are
-deterministic.
+Exact conflict-free and proper chromatic numbers; the ground truth the
+algorithmic modules are validated against. Proper colorability is one
+complete backtracking search of the whole instance in the kernel, with
+ties broken toward smaller colors, so its witnesses are deterministic.
+
+Conflict-free colorability with k colors is decided part by part. Each
+connected component is colored on its own. A connected instance is split
+at a separating edge e, one whose removal leaves sides C_1..C_j; S_i is
+e ∩ C_i. Colors can be renamed in each side on its own, so e is
+conflict-free exactly when some side has U_i, C_i plus the edge S_i is
+k-colorable, and every other side has Z_j, C_j has a k-coloring in which
+S_j misses a color. Z_j is k-colorability when |S_j| < k and
+(k-1)-colorability when S_j is all of C_j. Any other side would need a
+per-vertex color cap, which the kernel does not have, so at that k the
+next separating edge is tried, and the kernel decides when none is left.
+Both queries recurse. The split taken is the one whose largest side is
+smallest, ties by edge index, and when |S_i| = 1, U_i is the query Z_i;
+without the first the queries multiply on a chain of cliques joined by
+bridges, without the second on a path. The separating edges are the
+edge nodes that are cut vertices of the vertex-edge incidence graph.
+Each part finds them once per call and keeps its answers across
+palettes.
+
+A conflict-free witness is composed from the parts' witnesses: in every
+side but the one whose part of e holds e's unique color, a color S_j
+misses is swapped with that color. It is the kernel's first witness in
+search order only when nothing splits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernels
-from .model import Hypergraph
+from .model import Hypergraph, _bfs, _biconnected_blocks
 from .verify import Coloring
+
+# Parts this many splits deep go to the kernel. Balanced splits never get
+# near it; a core with many small sides hanging off it (a cycle with a
+# pendant edge at every vertex) peels one side per level, and each level
+# finds the separating edges of what is left anew. Each level also takes
+# three Python frames.
+_MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -33,11 +62,205 @@ def _search(h: Hypergraph, k: int, mode: int) -> tuple[Coloring | None, int]:
     return Coloring(tuple(raw)), nodes
 
 
+@dataclass(frozen=True)
+class _Side:
+    """A side C_i of a separating edge: its vertices in the parent's
+    numbering, S_i in its own, and the parts of the two queries on it."""
+
+    vertices: tuple[int, ...]
+    shared: tuple[int, ...]
+    alone: _Part  # C_i, for Z_i
+    with_edge: _Part | None  # C_i plus the edge S_i, for U_i; None when |S_i| = 1
+
+
+@dataclass(eq=False)
+class _Part:
+    """A connected instance of the split, with what is known of it: the
+    largest palette that fails and the smallest that works, with its
+    witness (colors of vertices 1..n)."""
+
+    h: Hypergraph
+    depth: int
+    fails: int = 0
+    works: tuple[int, tuple[int, ...]] | None = None
+    separators: list[tuple[int, int]] | None = None  # see _separating_edges
+    sides: dict[int, list[_Side]] = field(default_factory=dict)
+
+
+def _separating_edges(h: Hypergraph) -> list[tuple[int, int]]:
+    """The edges of the connected h whose removal disconnects it, as
+    (0-based index, cap), the one whose largest side has the fewest
+    vertices first, ties by index. cap is the largest |S_i| of a side with
+    |S_i| < |C_i| (0 when there is none): the split serves palettes k > cap.
+    """
+    n = h.n
+    # vertex v is node v, edge i node n+1+i; an edge separates h exactly
+    # when its node is a cut vertex of this graph
+    inc = Hypergraph(n + h.m, tuple(
+        (v, n + 1 + i) for i, e in enumerate(h.edges) for v in e))
+    blocks, cuts = _biconnected_blocks(inc)
+    if max(cuts, default=0) <= n:
+        return []
+    # the block-cut tree: block b is node b, cut vertex c node nb + c
+    nb = len(blocks)
+    touches: dict[tuple[int, int], int] = {}  # (block, cut) -> its incidences there
+    home = [0] * (inc.n + 1)  # the one block of each other node
+    for b, block in enumerate(blocks):
+        for eid in block:
+            for x in inc.edges[eid]:
+                if x in cuts:
+                    touches[b, x] = touches.get((b, x), 0) + 1
+                else:
+                    home[x] = b
+    adj: list[list[int]] = [[] for _ in range(nb + inc.n + 1)]
+    for b, c in touches:
+        adj[b].append(nb + c)
+        adj[nb + c].append(b)
+    below = [0] * len(adj)  # vertices of h at each tree node, then in its subtree
+    for v in range(1, n + 1):
+        below[nb + v if v in cuts else home[v]] += 1
+    order, dist = _bfs(adj, 0)
+    for x in reversed(order):
+        for y in adj[x]:
+            if dist[y] < dist[x]:
+                below[y] += below[x]
+    ranked = []
+    for c in cuts:
+        if c > n:
+            t = nb + c
+            # per side: |S_i| (e's incidences in the side's block) and |C_i|
+            sides = [(touches[b, c], below[b] if dist[b] > dist[t] else n - below[t])
+                     for b in adj[t]]
+            ranked.append((max(size for _, size in sides), c - n - 1,
+                           max((s for s, size in sides if s < size), default=0)))
+    ranked.sort()
+    return [(e, cap) for _, e, cap in ranked]
+
+
+def _renumber(n: int, comps: tuple[tuple[int, ...], ...],
+              edges: tuple[tuple[int, ...], ...]
+              ) -> tuple[list[int], list[int], list[Hypergraph]]:
+    """For each vertex its component and its number there (i for the
+    component's i-th smallest), and each component with its edges; every
+    edge lies inside one component."""
+    comp_of = [0] * (n + 1)
+    local = [0] * (n + 1)
+    for ci, comp in enumerate(comps):
+        for i, v in enumerate(comp, start=1):
+            comp_of[v], local[v] = ci, i
+    own: list[list[tuple[int, ...]]] = [[] for _ in comps]
+    for edge in edges:
+        own[comp_of[edge[0]]].append(tuple(local[v] for v in edge))
+    return comp_of, local, [Hypergraph(len(comp), tuple(es))
+                            for comp, es in zip(comps, own)]
+
+
+class _ConflictFree:
+    """Conflict-free k-colorability of one instance, for any k, by the
+    split; parts and their answers are kept across palettes."""
+
+    def __init__(self, h: Hypergraph):
+        self.n = h.n
+        self.nodes = 0  # kernel nodes, over every palette asked
+        comps = h.components
+        pieces = [h] if len(comps) == 1 else _renumber(h.n, comps, h.edges)[2]
+        self.parts = [(comp, _Part(piece, 0)) for comp, piece in zip(comps, pieces)]
+
+    def colorable(self, k: int) -> Coloring | None:
+        colors = [0] * (self.n + 1)
+        for vertices, part in self.parts:
+            found = self._colorable(part, k)
+            if found is None:
+                return None
+            for v, c in zip(vertices, found):
+                colors[v] = c
+        return Coloring(tuple(colors[1:]))
+
+    def _colorable(self, part: _Part, k: int) -> tuple[int, ...] | None:
+        if part.works is not None and k >= part.works[0]:
+            return part.works[1]
+        if k <= part.fails:
+            return None
+        found = self._decide(part, k)
+        if found is None:
+            part.fails = k
+        else:
+            part.works = (k, found)
+        return found
+
+    def _decide(self, part: _Part, k: int) -> tuple[int, ...] | None:
+        h = part.h
+        if all(len(e) == 1 for e in h.edges):
+            return (1,) * h.n
+        if k == 1:
+            return None
+        if part.depth < _MAX_DEPTH:
+            if part.separators is None:
+                part.separators = _separating_edges(h)
+            for e, cap in part.separators:
+                if k > cap:
+                    if e not in part.sides:
+                        part.sides[e] = _split(part, e)
+                    return self._join(h.n, part.sides[e], k)
+        found, nodes = _search(h, k, kernels.CONFLICT_FREE)
+        self.nodes += nodes
+        return None if found is None else found.colors
+
+    def _join(self, n: int, sides: list[_Side], k: int) -> tuple[int, ...] | None:
+        """Combine the sides of a separating edge at palette k."""
+        z: list[tuple[int, ...] | None] = []
+        failed = []
+        for i, side in enumerate(sides):
+            z.append(self._colorable(
+                side.alone, k if len(side.shared) < k else k - 1))
+            if z[-1] is None:
+                failed.append(i)
+                if len(failed) == 2:
+                    return None
+        for i in failed or range(len(sides)):
+            side = sides[i]
+            u = z[i] if side.with_edge is None else self._colorable(side.with_edge, k)
+            if u is None:
+                continue
+            on_edge = [u[v - 1] for v in side.shared]
+            unique = next(c for c in on_edge if on_edge.count(c) == 1)
+            colors = [0] * (n + 1)
+            for j, other in enumerate(sides):
+                found = u if j == i else z[j]
+                if j != i:
+                    used = {found[v - 1] for v in other.shared}
+                    free = next(c for c in range(1, k + 1) if c not in used)
+                    swap = {free: unique, unique: free}
+                    found = tuple(swap.get(c, c) for c in found)
+                for v, c in zip(other.vertices, found):
+                    colors[v] = c
+            return tuple(colors[1:])
+        return None
+
+
+def _split(part: _Part, e: int) -> list[_Side]:
+    """The sides of the separating edge e of part, in order of their
+    smallest vertex."""
+    h = part.h
+    rest = h.edges[:e] + h.edges[e + 1:]
+    comps = Hypergraph(h.n, rest).components
+    comp_of, local, pieces = _renumber(h.n, comps, rest)
+    shared: list[list[int]] = [[] for _ in comps]
+    for v in h.edges[e]:
+        shared[comp_of[v]].append(local[v])
+    depth = part.depth + 1
+    return [
+        _Side(comp, tuple(s), _Part(piece, depth),
+              None if len(s) == 1 else
+              _Part(Hypergraph(piece.n, piece.edges + (tuple(s),)), depth))
+        for comp, s, piece in zip(comps, shared, pieces)]
+
+
 def cf_colorable(h: Hypergraph, k: int) -> Coloring | None:
     """A conflict-free coloring with at most k colors, or None if impossible."""
     if k < 1:
         raise ValueError(f"palette size must be >= 1, got {k}")
-    return _search(h, k, kernels.CONFLICT_FREE)[0]
+    return _ConflictFree(h).colorable(k)
 
 
 def proper_colorable(h: Hypergraph, k: int) -> Coloring | None:
@@ -47,16 +270,9 @@ def proper_colorable(h: Hypergraph, k: int) -> Coloring | None:
     return _search(h, k, kernels.PROPER)[0]
 
 
-def _chi_exact(h: Hypergraph, k_max: int, mode: int) -> ChiCfResult | None:
+def _check_k_max(k_max: int) -> None:
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    total = 0
-    for k in range(1, k_max + 1):
-        witness, nodes = _search(h, k, mode)
-        total += nodes
-        if witness is not None:
-            return ChiCfResult(chi_cf=k, witness=witness, nodes=total)
-    return None
 
 
 def chi_cf_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
@@ -64,11 +280,18 @@ def chi_cf_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
 
     Searches k = 1..k_max and returns None when every palette up to k_max
     fails. The default cap max_degree+1 always suffices, so the default
-    call never returns None.
+    call never returns None. nodes counts the kernel's nodes over the
+    whole call.
     """
     if k_max is None:
         k_max = h.max_degree + 1
-    return _chi_exact(h, k_max, kernels.CONFLICT_FREE)
+    _check_k_max(k_max)
+    search = _ConflictFree(h)
+    for k in range(1, k_max + 1):
+        witness = search.colorable(k)
+        if witness is not None:
+            return ChiCfResult(chi_cf=k, witness=witness, nodes=search.nodes)
+    return None
 
 
 def chi_proper_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
@@ -80,4 +303,11 @@ def chi_proper_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | N
     """
     if k_max is None:
         k_max = max(h.n, 1)
-    return _chi_exact(h, k_max, kernels.PROPER)
+    _check_k_max(k_max)
+    total = 0
+    for k in range(1, k_max + 1):
+        witness, nodes = _search(h, k, kernels.PROPER)
+        total += nodes
+        if witness is not None:
+            return ChiCfResult(chi_cf=k, witness=witness, nodes=total)
+    return None

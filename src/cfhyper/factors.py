@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from . import kernels
-from .model import Hypergraph, HypergraphError, _bfs, dual
+from .model import Hypergraph, HypergraphError, _bfs, _biconnected_blocks, dual
 from .verify import Coloring, is_conflict_free
 
 DEFAULT_BUDGET = 10**8
@@ -99,74 +99,6 @@ def parity_precheck(g: Hypergraph, a: int, b: int) -> ParityObstruction | None:
         if len(component) % 2 == 1:
             return ParityObstruction(component)
     return None
-
-
-def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:
-    """Blocks as lists of 0-based edge indices, plus the cut vertices.
-
-    Parallel edges between the same endpoints land in a common block. Every
-    edge belongs to exactly one block; isolated vertices to none.
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for i, (u, v) in enumerate(g.edges):
-        adj[u].append((i, v))
-        adj[v].append((i, u))
-    disc = [0] * (g.n + 1)
-    low = [0] * (g.n + 1)
-    timer = 1
-    edge_stack: list[int] = []
-    blocks: list[list[int]] = []
-    cuts: set[int] = set()
-
-    for root in range(1, g.n + 1):
-        if disc[root] or not adj[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        frames = [(root, -1, iter(adj[root]))]
-        while frames:
-            v, entry_edge, neighbors = frames[-1]
-            descended = False
-            for eid, w in neighbors:
-                if eid == entry_edge:
-                    continue
-                if not disc[w]:
-                    edge_stack.append(eid)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    frames.append((w, eid, iter(adj[w])))
-                    descended = True
-                    break
-                if disc[w] < disc[v]:
-                    edge_stack.append(eid)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if descended:
-                continue
-            frames.pop()
-            if not frames:
-                continue
-            u = frames[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                block = []
-                while True:
-                    eid = edge_stack.pop()
-                    block.append(eid)
-                    if eid == entry_edge:
-                        break
-                blocks.append(sorted(block))
-                if u == root:
-                    root_children += 1
-                else:
-                    cuts.add(u)
-        if root_children > 1:
-            cuts.add(root)
-
-    blocks.sort(key=lambda blk: blk[0])
-    return blocks, cuts
 
 
 def _signings(adj: list[list[int]]) -> list[tuple[int, ...]]:

@@ -1,3 +1,8 @@
+import io
+import random
+import time
+from contextlib import redirect_stdout
+
 import pytest
 
 from cfhyper import (
@@ -19,6 +24,10 @@ from cfhyper.constructions import (
     odd_cycle,
     two_cliques,
 )
+from cfhyper import kernels
+from cfhyper.cli import main
+from cfhyper.exact_cf import _separating_edges
+from cfhyper.kernels import available_backends
 
 from corpus import fano_plane, octahedron, small_corpus
 
@@ -136,3 +145,182 @@ def test_two_colorability_matches_duality_on_2regular():
         assert (exact == 2) == (duality is not None)
         if duality is not None:
             assert is_conflict_free(h, duality) == []
+
+
+# --- the split at separating edges -------------------------------------------
+
+def _glued(rng: random.Random, n_max: int = 10, m_max: int = 9) -> Hypergraph:
+    """Small random blocks on disjoint vertex groups, some of them joined
+    by gluing edges that take one or more vertices from each of two or
+    three groups. Size-1 edges, a duplicated edge and groups left apart
+    all occur; a glued group whose part in the gluing edge is neither one
+    vertex nor the whole group needs the cap fallback at small palettes.
+    """
+    n = rng.randint(1, n_max)
+    verts = list(range(1, n + 1))
+    rng.shuffle(verts)
+    groups = []
+    while verts:
+        size = rng.randint(1, 4)
+        groups.append(verts[:size])
+        verts = verts[size:]
+    edges = []
+    for g in groups:
+        for _ in range(rng.randint(0, len(g))):
+            edges.append(rng.sample(g, rng.randint(1, min(3, len(g)))))
+    for _ in range(rng.randint(0, len(groups)) if len(groups) > 1 else 0):
+        glued = rng.sample(groups, rng.randint(2, min(3, len(groups))))
+        edges.append([v for g in glued for v in rng.sample(g, rng.randint(1, len(g)))])
+    if edges and rng.random() < 0.2:
+        edges.append(rng.choice(edges))
+    rng.shuffle(edges)
+    return Hypergraph.from_edges(n, edges[:m_max])
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_split_agrees_with_plain_kernel(monkeypatch, backend):
+    impl = available_backends()[backend]
+    monkeypatch.setattr(kernels, "color_search", impl.color_search)
+    rng = random.Random(90210)
+    split = capped = 0
+    for _ in range(1500):
+        h = _glued(rng)
+        edges0 = [tuple(v - 1 for v in e) for e in h.edges]
+        if h.connected and h.n > 1:
+            seps = _separating_edges(h)
+            split += bool(seps)
+            capped += any(cap >= 2 for _, cap in seps)
+        chi = None
+        for k in range(1, h.max_degree + 2):
+            plain = impl.color_search(h.n, edges0, k, kernels.CONFLICT_FREE)[0]
+            got = cf_colorable(h, k)
+            assert (got is None) == (plain is None), (h, k)
+            if got is not None:
+                assert is_conflict_free(h, got) == [] and got.palette <= k, (h, k)
+                chi = chi or k
+        # one search over every palette keeps its parts' answers across k
+        res = chi_cf_exact(h)
+        assert res.chi_cf == chi and is_conflict_free(h, res.witness) == [], h
+    assert split >= 300 and capped >= 50, (split, capped)
+
+
+@pytest.mark.parametrize("h, value", [
+    (gap_nested(6), 7),
+    (two_cliques(8), 9),
+    (k4e_gadget(20), 4),
+])
+def test_delta_plus_one_families(h, value):
+    # the paper's families with f(r, Delta) = Delta + 1, decided part by part
+    start = time.perf_counter()
+    res = chi_cf_exact(h)
+    assert time.perf_counter() - start < 1.0
+    assert res.chi_cf == value
+    assert is_conflict_free(h, res.witness) == [] and res.witness.palette == value
+
+
+def test_gap_nested_5_through_the_cli(tmp_path):
+    hg = tmp_path / "gap5.hg"
+    assert main(["gen", "--construction", "gap_nested", "--delta", "5",
+                 "-o", str(hg)]) == 0
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["chi-cf", str(hg)]) == 0
+    assert out.getvalue().splitlines()[0] == "6"
+    # gap_nested(4) took 19,300,373 kernel nodes in one search of the whole
+    assert chi_cf_exact(gap_nested(4)).nodes < 1000
+
+
+def _relabel(rng: random.Random, n: int, edges: list[tuple[int, ...]]) -> Hypergraph:
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return Hypergraph.from_edges(n, [[perm[v - 1] for v in e] for e in edges])
+
+
+@pytest.mark.parametrize("name", ["reversed path", "chain of K4s"])
+def test_split_size_stays_linear(monkeypatch, name):
+    # taking the first separating edge by index, or asking U_i anew when
+    # |S_i| = 1, makes the number of queries exponential on these
+    if name == "reversed path":
+        n, value = 200, 2
+        h = Hypergraph.from_edges(n, [(v, v + 1) for v in range(n - 1, 0, -1)])
+    else:
+        n, value = 200, 4
+        edges = [(4 * c + i, 4 * c + j) for c in range(50)
+                 for i in range(1, 5) for j in range(i + 1, 5)]
+        edges += [(4 * c + 4, 4 * c + 5) for c in range(49)]
+        h = _relabel(random.Random(4), n, edges)
+    calls = [0]
+    search = kernels.color_search
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "color_search", counted)
+    start = time.perf_counter()
+    res = chi_cf_exact(h)
+    assert time.perf_counter() - start < 0.1
+    assert res.chi_cf == value and is_conflict_free(h, res.witness) == []
+    assert calls[0] <= n
+
+
+def test_deep_split_falls_back_to_the_kernel():
+    # a 400-cycle with a pendant edge at every vertex: each pendant edge
+    # separates one vertex off, so the split goes one pendant per level
+    # until the depth limit hands the rest to the kernel
+    n = 400
+    edges = [(v, v % n + 1) for v in range(1, n + 1)]
+    edges += [(v, v + n) for v in range(1, n + 1)]
+    h = Hypergraph.from_edges(2 * n, edges)
+    res = chi_cf_exact(h)
+    assert res.chi_cf == 2 and is_conflict_free(h, res.witness) == []
+
+
+def _milp_colorable(h: Hypergraph, k: int) -> bool:
+    """Conflict-free k-colorability as a 0/1 program, solved by HiGHS.
+
+    x[v, c] says vertex v has color c, u[e, c] that color c occurs exactly
+    once in edge e: sum_v x[v, c] >= u[e, c] and
+    sum_v x[v, c] <= 1 + (|e| - 1) * (1 - u[e, c]). Every vertex takes
+    one color, every edge some unique color, and vertex 1 color 1.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    nx_, nu = h.n * k, h.m * k
+    x = lambda v, c: (v - 1) * k + c  # noqa: E731
+    u = lambda e, c: nx_ + e * k + c  # noqa: E731
+    rows, lo, hi = [], [], []
+
+    def constrain(coeffs: dict[int, int], low: float, high: float) -> None:
+        rows.append(coeffs)
+        lo.append(low)
+        hi.append(high)
+
+    for v in range(1, h.n + 1):
+        constrain({x(v, c): 1 for c in range(k)}, 1, 1)
+    for e, edge in enumerate(h.edges):
+        constrain({u(e, c): 1 for c in range(k)}, 1, k)
+        for c in range(k):
+            row = {x(v, c): 1 for v in edge}
+            constrain({**row, u(e, c): -1}, 0, len(edge))
+            constrain({**row, u(e, c): len(edge) - 1}, -1, len(edge))
+    constrain({x(1, 0): 1}, 1, 1)
+    a = sparse.lil_array((len(rows), nx_ + nu))
+    for i, row in enumerate(rows):
+        for j, coeff in row.items():
+            a[i, j] = coeff
+    res = optimize.milp(
+        c=[0] * (nx_ + nu), integrality=[1] * (nx_ + nu),
+        bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(a.tocsr(), lo, hi))
+    assert res.status in (0, 2), res.message  # solved, or proved infeasible
+    return res.status == 0
+
+
+@pytest.mark.parametrize("h, k", [
+    (gap_nested(4), 4), (gap_nested(4), 5),
+    (k4e_gadget(10), 3), (k4e_gadget(10), 4),
+    (two_cliques(4), 4), (two_cliques(4), 5),
+])
+def test_split_agrees_with_milp(h, k):
+    assert (cf_colorable(h, k) is not None) == _milp_colorable(h, k)

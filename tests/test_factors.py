@@ -16,7 +16,7 @@ from cfhyper import (
 )
 from cfhyper.constructions import build_g_tr, build_h_block, complete_graph, odd_cycle
 from cfhyper import factors, kernels
-from cfhyper.factors import _biconnected_blocks
+from cfhyper.model import _biconnected_blocks
 
 from corpus import octahedron, petersen, random_uniform_hypergraph, ring_of_k4
 
