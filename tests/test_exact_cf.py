@@ -26,7 +26,7 @@ from cfhyper.constructions import (
 )
 from cfhyper import kernels
 from cfhyper.cli import main
-from cfhyper.exact_cf import _separating_edges
+from cfhyper.exact_cf import _splits
 from cfhyper.kernels import available_backends
 
 from corpus import fano_plane, octahedron, small_corpus
@@ -177,19 +177,54 @@ def _glued(rng: random.Random, n_max: int = 10, m_max: int = 9) -> Hypergraph:
     return Hypergraph.from_edges(n, edges[:m_max])
 
 
+def _hung(rng: random.Random) -> Hypergraph:
+    """A small random core with up to four pieces hung off it, or off one
+    another, each by an edge taking one or two vertices of the piece it
+    hangs from and some of its own. A piece is a small random block or a
+    diamond (K_4 less the edge of its last two vertices) hung by those
+    two, which share a color in every 3-coloring of it, so at k = 3 the
+    edge needs a unique color where it hangs."""
+    n = 0
+    edges: list[tuple[int, ...]] = []
+
+    def block(size: int) -> list[int]:
+        nonlocal n
+        n += size
+        vs = list(range(n - size + 1, n + 1))
+        for _ in range(rng.randint(0, size)):
+            edges.append(tuple(rng.sample(vs, rng.randint(1, min(3, size)))))
+        return vs
+
+    core = block(rng.randint(2, 4))
+    pieces = [core]
+    for _ in range(rng.randint(1, 4)):
+        base = rng.choice(pieces) if rng.random() < 0.3 else core
+        if rng.random() < 0.4:
+            n += 4
+            a, b, c, d = range(n - 3, n + 1)
+            edges.extend([(a, b), (a, c), (a, d), (b, c), (b, d)])
+            new, hang = [a, b, c, d], [c, d]
+        else:
+            new = block(rng.randint(1, 3))
+            hang = rng.sample(new, rng.randint(1, len(new)))
+        edges.append(tuple(rng.sample(base, rng.randint(1, min(2, len(base)))) + hang))
+        pieces.append(new)
+    return _relabel(rng, n, edges)
+
+
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_split_agrees_with_plain_kernel(monkeypatch, backend):
     impl = available_backends()[backend]
     monkeypatch.setattr(kernels, "color_search", impl.color_search)
-    rng = random.Random(90210)
-    split = capped = 0
-    for _ in range(1500):
-        h = _glued(rng)
+    rng, hung = random.Random(90210), random.Random(4711)
+    split = capped = cored = 0
+    for h in [_glued(rng) for _ in range(1500)] + [_hung(hung) for _ in range(300)]:
         edges0 = [tuple(v - 1 for v in e) for e in h.edges]
         if h.connected and h.n > 1:
-            seps = _separating_edges(h)
+            seps = _splits(h)
             split += bool(seps)
-            capped += any(cap >= 2 for _, cap in seps)
+            capped += any(cap >= 2 for cap, _, _ in seps)
+            cored += any(core for _, _, core in seps)
         chi = None
         for k in range(1, h.max_degree + 2):
             plain = impl.color_search(h.n, edges0, k, kernels.CONFLICT_FREE)[0]
@@ -201,7 +236,7 @@ def test_split_agrees_with_plain_kernel(monkeypatch, backend):
         # one search over every palette keeps its parts' answers across k
         res = chi_cf_exact(h)
         assert res.chi_cf == chi and is_conflict_free(h, res.witness) == [], h
-    assert split >= 300 and capped >= 50, (split, capped)
+    assert split >= 450 and capped >= 300 and cored >= 300, (split, capped, cored)
 
 
 @pytest.mark.parametrize("h, value", [
@@ -236,19 +271,8 @@ def _relabel(rng: random.Random, n: int, edges: list[tuple[int, ...]]) -> Hyperg
     return Hypergraph.from_edges(n, [[perm[v - 1] for v in e] for e in edges])
 
 
-@pytest.mark.parametrize("name", ["reversed path", "chain of K4s"])
-def test_split_size_stays_linear(monkeypatch, name):
-    # taking the first separating edge by index, or asking U_i anew when
-    # |S_i| = 1, makes the number of queries exponential on these
-    if name == "reversed path":
-        n, value = 200, 2
-        h = Hypergraph.from_edges(n, [(v, v + 1) for v in range(n - 1, 0, -1)])
-    else:
-        n, value = 200, 4
-        edges = [(4 * c + i, 4 * c + j) for c in range(50)
-                 for i in range(1, 5) for j in range(i + 1, 5)]
-        edges += [(4 * c + 4, 4 * c + 5) for c in range(49)]
-        h = _relabel(random.Random(4), n, edges)
+def _counted(monkeypatch) -> list[int]:
+    """Count the calls of kernels.color_search from here on."""
     calls = [0]
     search = kernels.color_search
 
@@ -257,6 +281,33 @@ def test_split_size_stays_linear(monkeypatch, name):
         return search(*args)
 
     monkeypatch.setattr(kernels, "color_search", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["reversed path", "chain of K4s", "tree of triangles"])
+def test_split_size_stays_linear(monkeypatch, name):
+    # taking the first separating edge by index, or asking U_i anew when
+    # |S_i| = 1, makes the number of queries exponential on the first two;
+    # asking U of the side with |S_i| = 2 before the free U of the other
+    # makes it n^1.58 on the third
+    if name == "reversed path":
+        n, value = 200, 2
+        h = Hypergraph.from_edges(n, [(v, v + 1) for v in range(n - 1, 0, -1)])
+    elif name == "tree of triangles":
+        # two copies of the tree joined by {1, 2, first vertex of the copy}
+        n, value = 3, 3
+        edges = [(1, 2), (1, 3), (2, 3)]
+        for _ in range(6):
+            edges += [tuple(v + n for v in e) for e in edges] + [(1, 2, n + 1)]
+            n *= 2
+        h = Hypergraph.from_edges(n, edges)
+    else:
+        n, value = 200, 4
+        edges = [(4 * c + i, 4 * c + j) for c in range(50)
+                 for i in range(1, 5) for j in range(i + 1, 5)]
+        edges += [(4 * c + 4, 4 * c + 5) for c in range(49)]
+        h = _relabel(random.Random(4), n, edges)
+    calls = _counted(monkeypatch)
     start = time.perf_counter()
     res = chi_cf_exact(h)
     assert time.perf_counter() - start < 0.1
@@ -264,16 +315,81 @@ def test_split_size_stays_linear(monkeypatch, name):
     assert calls[0] <= n
 
 
-def test_deep_split_falls_back_to_the_kernel():
-    # a 400-cycle with a pendant edge at every vertex: each pendant edge
-    # separates one vertex off, so the split goes one pendant per level
-    # until the depth limit hands the rest to the kernel
+def test_comb_is_cut_in_one_split(monkeypatch):
+    # a 400-cycle with a pendant edge at every vertex: every pendant edge
+    # separates one vertex, and one split around the cycle cuts them all
     n = 400
     edges = [(v, v % n + 1) for v in range(1, n + 1)]
     edges += [(v, v + n) for v in range(1, n + 1)]
     h = Hypergraph.from_edges(2 * n, edges)
+    calls = _counted(monkeypatch)
+    start = time.perf_counter()
     res = chi_cf_exact(h)
+    assert time.perf_counter() - start < 0.1
     assert res.chi_cf == 2 and is_conflict_free(h, res.witness) == []
+    assert calls[0] <= 2
+
+
+def _hyper_comb(cycle: int, diamonds: bool, wide: bool) -> Hypergraph:
+    """An odd cycle with, for each cycle edge {v, w}, a pendant vertex p
+    and the edge {v, w, p}, or a diamond whose two degree-2 vertices a, b
+    hang by {v, w, a, b}; wide adds {1, 2, 3, p'} for one more pendant
+    p', which no palette below 4 can cut off."""
+    edges: list[tuple[int, ...]] = [(v, v % cycle + 1) for v in range(1, cycle + 1)]
+    n = cycle
+    for v in range(1, cycle + 1):
+        if diamonds:
+            a, b, c, d = n + 1, n + 2, n + 3, n + 4
+            edges += [(c, d), (c, a), (c, b), (d, a), (d, b), (v, v % cycle + 1, a, b)]
+            n += 4
+        else:
+            edges.append((v, v % cycle + 1, n + 1))
+            n += 1
+    if wide:
+        edges.append((1, 2, 3, n + 1))
+        n += 1
+    return Hypergraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("cycle, diamonds, wide", [
+    (41, False, False), (41, False, True), (15, True, False), (15, True, True)])
+def test_hyper_combs_stay_linear(monkeypatch, cycle, diamonds, wide):
+    # each hanging edge splits the instance into the core and a small
+    # side with |S| >= 2 in the core; cut one per split, Z and U of the
+    # core would both recurse into the rest, doubling the parts per level.
+    # The diamonds' U fails at k = 3, so the core must take their edges.
+    h = _hyper_comb(cycle, diamonds, wide)
+    edges0 = [tuple(v - 1 for v in e) for e in h.edges]
+    plain = kernels.color_search(h.n, edges0, 3, kernels.CONFLICT_FREE)[0]
+    calls = _counted(monkeypatch)
+    start = time.perf_counter()
+    got = cf_colorable(h, 3)
+    assert time.perf_counter() - start < 0.1
+    assert got is not None and plain is not None
+    assert is_conflict_free(h, got) == [] and got.palette <= 3
+    assert calls[0] <= 2 * cycle + 1
+    assert cf_colorable(h, 2) is None  # the odd cycle
+
+
+@pytest.mark.parametrize("per_vertex", [0, 1])
+def test_parts_bound_hands_parts_to_the_kernel(monkeypatch, per_vertex):
+    # past the bound on parts a part is searched whole; the answers and
+    # witnesses stay exact
+    from cfhyper import exact_cf
+
+    monkeypatch.setattr(exact_cf, "_PARTS_PER_VERTEX", per_vertex)
+    rng = random.Random(2024)
+    for _ in range(200):
+        h = _hung(rng)
+        search = exact_cf._ConflictFree(h)
+        edges0 = [tuple(v - 1 for v in e) for e in h.edges]
+        for k in range(1, h.max_degree + 2):
+            plain = kernels.color_search(h.n, edges0, k, kernels.CONFLICT_FREE)[0]
+            got = search.colorable(k)
+            assert (got is None) == (plain is None), (h, k)
+            assert got is None or is_conflict_free(h, got) == [], (h, k)
+        if per_vertex == 0:  # nothing is split, components aside
+            assert search.parts_left >= -1 - len(h.components)
 
 
 def _milp_colorable(h: Hypergraph, k: int) -> bool:
