@@ -14,7 +14,12 @@ import click
 
 from . import constructions as cons
 from .exact_cf import chi_cf_exact
-from .factors import SearchBudgetExceeded, find_ab_factor, parity_precheck
+from .factors import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
+    find_ab_factor,
+    parity_precheck,
+)
 from .four_uniform import characterize_4uniform, color_4uniform
 from .graph_io import (
     ParseError,
@@ -106,8 +111,8 @@ def gen(kind: str, t: int | None, r: int | None, n: int | None,
               help="palette size (lll: defaults to the guaranteed bound; "
                    "exact: search cap)")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-resamples", type=int, default=DEFAULT_MAX_ROUNDS,
-              show_default=True)
+@click.option("--max-resamples", type=click.IntRange(min=1),
+              default=DEFAULT_MAX_ROUNDS, show_default=True)
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def color(algo: str, colors: int | None, seed: int, max_resamples: int,
@@ -167,13 +172,15 @@ def dual_cmd(file: str, output: str) -> int:
 
 
 @cli.command()
-@click.option("--a", "a", required=True, type=int)
-@click.option("--b", "b", required=True, type=int)
-@click.option("--budget", type=int, default=10**8, show_default=True,
+@click.option("--a", "a", required=True, type=click.IntRange(min=1))
+@click.option("--b", "b", required=True, type=click.IntRange(min=1))
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
               help="search-node limit")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def factor(a: int, b: int, budget: int, file: str) -> int:
     """Search an {a,b}-factor; prints a factor file, NONE, or BUDGET."""
+    if b < a:
+        raise click.UsageError(f"--b must be at least --a, got {b} < {a}")
     g = load_hypergraph(_read(file))
     obstruction = parity_precheck(g, a, b)
     if obstruction is not None:

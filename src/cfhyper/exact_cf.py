@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import kernels
-from .model import Hypergraph, _bfs, _biconnected_blocks
+from .model import Hypergraph, _bfs, _biconnected_blocks, _induced
 from .verify import Coloring
 
 # Parts this many splits deep go to the kernel whole; each level takes
@@ -138,7 +138,8 @@ def _splits(h: Hypergraph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     # when its node is a cut vertex of this graph
     inc = Hypergraph(n + h.m, tuple(
         (v, n + 1 + i) for i, e in enumerate(h.edges) for v in e))
-    blocks, cuts = _biconnected_blocks(inc)
+    blocks, _, cuts = _biconnected_blocks(inc)
+    blocks.sort()  # by first edge, which roots the tree and breaks ties
     if max(cuts, default=0) <= n:
         return []
     # the block-cut tree: block b is node b, cut vertex c node nb + c
@@ -216,24 +217,6 @@ def _splits(h: Hypergraph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     return [(most, cut, core) for *_, most, cut, core in ranked]
 
 
-def _renumber(n: int, comps: tuple[tuple[int, ...], ...],
-              edges: tuple[tuple[int, ...], ...]
-              ) -> tuple[list[int], list[int], list[Hypergraph]]:
-    """For each vertex its component and its number there (i for the
-    component's i-th smallest), and each component with its edges; every
-    edge lies inside one component."""
-    comp_of = [0] * (n + 1)
-    local = [0] * (n + 1)
-    for ci, comp in enumerate(comps):
-        for i, v in enumerate(comp, start=1):
-            comp_of[v], local[v] = ci, i
-    own: list[list[tuple[int, ...]]] = [[] for _ in comps]
-    for edge in edges:
-        own[comp_of[edge[0]]].append(tuple(local[v] for v in edge))
-    return comp_of, local, [Hypergraph(len(comp), tuple(es))
-                            for comp, es in zip(comps, own)]
-
-
 def _unique(found: tuple[int, ...], shared: tuple[int, ...]) -> int:
     """A color that occurs once on the vertices shared."""
     on = [found[v - 1] for v in shared]
@@ -294,7 +277,7 @@ class _ConflictFree:
             comps = h.components
             part.components = [] if len(comps) == 1 else [
                 (comp, self._part(piece, part.depth))
-                for comp, piece in zip(comps, _renumber(h.n, comps, h.edges)[2])]
+                for comp, piece in zip(comps, _induced(h, comps))]
         if part.components:
             colors = [0] * (h.n + 1)
             for vertices, piece in part.components:
@@ -323,10 +306,14 @@ class _ConflictFree:
         sides in order of their smallest vertex."""
         h = part.h
         removed = set(cut)
-        rest = tuple(e for i, e in enumerate(h.edges) if i not in removed)
-        comps = Hypergraph(h.n, rest).components
-        comp_of, local, pieces = _renumber(h.n, comps, rest)
-        core = tuple(sorted(v for c in {comp_of[v] for v in anchor} for v in comps[c]))
+        rest = Hypergraph(h.n, tuple(
+            e for i, e in enumerate(h.edges) if i not in removed))
+        comps = rest.components
+        pieces = _induced(rest, comps)
+        # each vertex's component and its number there
+        where = {v: (c, i) for c, comp in enumerate(comps)
+                 for i, v in enumerate(comp, start=1)}
+        core = tuple(sorted(v for c in {where[v][0] for v in anchor} for v in comps[c]))
         in_core = {v: i for i, v in enumerate(core, start=1)}
         depth = part.depth + 1
         split = _Split([], core, [], {})
@@ -334,7 +321,8 @@ class _ConflictFree:
             shared: dict[int, list[int]] = {}
             for v in h.edges[e]:
                 if v not in in_core:
-                    shared.setdefault(comp_of[v], []).append(local[v])
+                    c, i = where[v]
+                    shared.setdefault(c, []).append(i)
             split.core_shared.append(
                 tuple(in_core[v] for v in h.edges[e] if v in in_core))
             split.sides.append([
@@ -343,8 +331,7 @@ class _ConflictFree:
                           pieces[c].n, pieces[c].edges + (tuple(s),)), depth))
                 for c, s in sorted(shared.items())])
         if core:
-            split.cores[frozenset()] = self._part(Hypergraph(len(core), tuple(
-                tuple(in_core[v] for v in e) for e in rest if e[0] in in_core)), depth)
+            split.cores[frozenset()] = self._part(_induced(rest, [core])[0], depth)
         return split
 
     def _join(self, n: int, split: _Split, k: int) -> tuple[int, ...] | None:

@@ -199,10 +199,10 @@ class _Block:
     edges: list[int]  # global 0-based edge ids, ascending
     vertices: list[int]  # sorted global vertex ids
     cut_vertices: list[int]  # sorted; subset of vertices
+    parent_cut: int  # the cut vertex the block hangs from, 0 for a root
     eu: list[int]  # the edges' endpoints as indices into vertices
     ev: list[int]
     signed_sum: _SignedSum  # every vertex but the cut vertices is fixed to {a, b}
-    parent_cut: int | None = None
 
     def degree(self, v: int) -> int:
         return self.signed_sum.deg[self.vertices.index(v)]
@@ -234,15 +234,16 @@ def find_ab_factor(
     one node, so the budget also bounds the number of queries.
 
     The search splits into biconnected blocks and solves the block-cut
-    tree of each component bottom-up, from a root block (the one holding
-    the component's lowest-numbered edge). A block below the root is
-    solved once per degree d of its parent cut vertex, keeping the first
+    tree of each component bottom-up, in the order the Hopcroft-Tarjan
+    search lists the blocks, up to a root block (the one holding the
+    component's lowest-numbered edge). A block below the root is solved
+    once per degree d of its parent cut vertex, keeping the first
     witness in kernel search order for each feasible d. Each other cut
     vertex c of the block may take any degree t - s with t in {a, b} and
     s a sum of feasible degrees of the child blocks hanging at c; every
     other vertex must reach a or b. The root block is solved once.
 
-    Each tree is swept twice. The first sweep asks only the signed-sum
+    The forest is swept twice. The first sweep asks only the signed-sum
     test (see _SignedSum; two signings, a BFS 2-colouring made a local
     max-cut and all +1), with each block keeping the degrees the test does
     not refute, and charges one node per test; on g_tr(t, r) it excludes
@@ -253,11 +254,12 @@ def find_ab_factor(
     each). Only unsolvable queries are skipped, so witnesses and verdicts
     are those of the kernel alone.
 
-    The witness is the root block's first solution. Top-down, each cut
+    The witness is each root block's first solution. Top-down, each cut
     vertex then takes target a if its child blocks can make up the
-    difference, else b; the difference goes to the child blocks in order,
-    each taking the smallest share the blocks after it can complete, and
-    each child block contributes its witness for that share.
+    difference, else b; the difference goes to the child blocks in order
+    of their lowest edge, each taking the smallest share the blocks after
+    it can complete, and each child block contributes its witness for
+    that share.
     """
     _require_graph(g)
     _check_targets(a, b)
@@ -266,9 +268,10 @@ def find_ab_factor(
     if any(d == 0 for d in degrees):
         return None  # an isolated vertex can never reach degree a >= 1
 
-    blocks_raw, cuts = _biconnected_blocks(g)
+    blocks_raw, hangs, cuts = _biconnected_blocks(g)
     blocks = []
-    for raw in blocks_raw:
+    child_blocks: dict[int, list[int]] = {}  # per cut vertex, in first-edge order
+    for bi, (raw, hang) in enumerate(zip(blocks_raw, hangs)):
         verts = sorted({v for eid in raw for v in g.edges[eid]})
         local = {v: i for i, v in enumerate(verts)}
         eu = [local[g.edges[eid][0]] for eid in raw]
@@ -277,16 +280,16 @@ def find_ab_factor(
             edges=raw,
             vertices=verts,
             cut_vertices=[v for v in verts if v in cuts],
+            parent_cut=hang,
             eu=eu,
             ev=ev,
             signed_sum=_SignedSum(len(verts), eu, ev, {
                 i: (a, b) for i, v in enumerate(verts) if v not in cuts}),
         ))
-
-    blocks_of_cut: dict[int, list[int]] = {}
-    for bi, blk in enumerate(blocks):
-        for c in blk.cut_vertices:
-            blocks_of_cut.setdefault(c, []).append(bi)
+        if hang:
+            child_blocks.setdefault(hang, []).append(bi)
+    for kids in child_blocks.values():
+        kids.sort(key=lambda k: blocks_raw[k][0])
 
     nodes_used = 0
 
@@ -297,52 +300,47 @@ def find_ab_factor(
         if nodes_used > budget:
             raise SearchBudgetExceeded(nodes_used)
 
-    # sumset of child contributions per (cut vertex, parent block)
-    child_sum: dict[tuple[int, int], set[int]] = {}
-    child_blocks: dict[tuple[int, int], list[int]] = {}
+    child_sum: dict[int, set[int]] = {}  # sumset of child contributions per cut
 
-    def sweep(order: list[int], ask: Callable[..., Any]
-              ) -> dict[int, dict[int | None, Any]] | None:
-        """Per block of one block-cut tree, bottom-up, the answers of
-        ask(bi, d, allowed_at, narrowed) that are not None, keyed by the
-        degree d of the parent cut vertex (None for the root); narrowed
-        tells whether an allowed set is smaller than in the sweep before.
-        None as soon as a block has no answer or a cut vertex no degree
-        its child blocks suit."""
-        found: dict[int, dict[int | None, Any]] = {}
-        for bi in reversed(order):
-            blk = blocks[bi]
+    def sweep(ask: Callable[..., Any]) -> list[dict[int, Any]] | None:
+        """Per block, bottom-up, the answers of ask(bi, d, allowed_at,
+        narrowed) that are not None, keyed by the degree d of the parent
+        cut vertex (0 for a root); narrowed tells whether an allowed set
+        is smaller than in the sweep before. None as soon as a block has
+        no answer or a cut vertex no degree its child blocks suit."""
+        found: list[dict[int, Any]] = []
+        for bi, blk in enumerate(blocks):
             allowed_at: dict[int, Iterable[int]] = {}
             narrowed = False
             for c in blk.cut_vertices:
                 if c == blk.parent_cut:
                     continue
-                sums = _sumset([found[k].keys() for k in child_blocks[(c, bi)]], b)
-                narrowed = narrowed or child_sum.get((c, bi)) != sums
-                child_sum[(c, bi)] = sums
+                sums = _sumset([found[k].keys() for k in child_blocks[c]], b)
+                narrowed = narrowed or child_sum.get(c) != sums
+                child_sum[c] = sums
                 top = blk.degree(c)
                 allowed_at[c] = {t - s for t in (a, b) for s in sums if 0 <= t - s <= top}
                 if not allowed_at[c]:
                     return None
-            if blk.parent_cut is None:
-                answers = {None: ask(bi, None, allowed_at, narrowed)}
+            if not blk.parent_cut:
+                answers = {0: ask(bi, 0, allowed_at, narrowed)}
             else:
                 answers = {}
                 for d in range(min(blk.degree(blk.parent_cut), b) + 1):
                     allowed_at[blk.parent_cut] = (d,)
                     answers[d] = ask(bi, d, allowed_at, narrowed)
-            found[bi] = {d: ans for d, ans in answers.items() if ans is not None}
+            found.append({d: ans for d, ans in answers.items() if ans is not None})
             if not found[bi]:
                 return None
         return found
 
-    def relaxed(bi: int, d: int | None, allowed_at: dict[int, Iterable[int]],
+    def relaxed(bi: int, d: int, allowed_at: dict[int, Iterable[int]],
                 narrowed: bool) -> bool | None:
         refuted = blocks[bi].refuted(allowed_at)
         charge(1)
         return None if refuted else True
 
-    def solve(bi: int, d: int | None, allowed_at: dict[int, Iterable[int]],
+    def solve(bi: int, d: int, allowed_at: dict[int, Iterable[int]],
               narrowed: bool) -> list[int] | None:
         if d not in possible[bi]:
             return None  # refuted, and charged, in the first sweep
@@ -361,71 +359,41 @@ def find_ab_factor(
             raise SearchBudgetExceeded(nodes_used)
         return sel
 
+    # First the signed-sum test alone: each block keeps the parent-cut
+    # degrees it does not refute, a superset of the feasible ones, so the
+    # allowed sets built from them are supersets too and a refutation
+    # under them holds for the exact query. This refutes g_tr(t, r)
+    # before any kernel query, wherever the numbering puts the root.
+    possible = sweep(relaxed)
+    if possible is None:
+        return None
+    # then the kernel, on the degrees left: per block, feasible
+    # parent-cut degree -> first witness for it
+    witness = sweep(solve)
+    if witness is None:
+        return None
+
+    # reconstruct top-down, the sweep order reversed: each block takes the
+    # witness for the parent-cut degree its parent block gave it
     selected: set[int] = set()
-
-    # process each block-cut tree of the forest
-    seen_block = [False] * len(blocks)
-    for root_bi in range(len(blocks)):
-        if seen_block[root_bi]:
-            continue
-        # orient the tree by BFS from the root block
-        order = [root_bi]
-        seen_block[root_bi] = True
-        blocks[root_bi].parent_cut = None
-        seen_cut: set[int] = set()
-        qi = 0
-        while qi < len(order):
-            bi = order[qi]
-            qi += 1
-            for c in blocks[bi].cut_vertices:
-                if c in seen_cut:
-                    continue
-                seen_cut.add(c)
-                kids = [k for k in blocks_of_cut[c] if not seen_block[k]]
-                # in a block-cut forest the first block reaching c sees every
-                # other block of c undiscovered
-                assert len(kids) == len(blocks_of_cut[c]) - 1
-                child_blocks[(c, bi)] = kids
-                for other in kids:
-                    seen_block[other] = True
-                    blocks[other].parent_cut = c
-                    order.append(other)
-
-        # First the signed-sum test alone: each block keeps the parent-cut
-        # degrees it does not refute, a superset of the feasible ones, so the
-        # allowed sets built from them are supersets too and a refutation
-        # under them holds for the exact query. This refutes g_tr(t, r)
-        # before any kernel query, wherever the numbering puts the root.
-        possible = sweep(order, relaxed)
-        if possible is None:
-            return None
-        # then the kernel, on the degrees left: per block, feasible
-        # parent-cut degree -> first witness for it
-        witness = sweep(order, solve)
-        if witness is None:
-            return None
-
-        # reconstruct: walk the tree top-down, fixing one witness per block
-        pending = [(root_bi, witness[root_bi][None])]
-        while pending:
-            bi, sel = pending.pop()
-            blk = blocks[bi]
-            chosen = [blk.edges[i] for i, flag in enumerate(sel) if flag]
-            selected.update(eid + 1 for eid in chosen)
-            for c in blk.cut_vertices:
-                if c == blk.parent_cut:
-                    continue
-                kids = child_blocks[(c, bi)]
-                sums = child_sum[(c, bi)]
-                d = sum(c in g.edges[eid] for eid in chosen)
-                target = next(t for t in (a, b) if t - d in sums)
-                remainder = target - d
-                for pos, kid in enumerate(kids):
-                    tail = _sumset([witness[k].keys() for k in kids[pos + 1:]], b)
-                    share = min(s for s in witness[kid] if remainder - s in tail)
-                    remainder -= share
-                    pending.append((kid, witness[kid][share]))
-                assert remainder == 0
+    share_of = [0] * len(blocks)
+    for bi in reversed(range(len(blocks))):
+        blk = blocks[bi]
+        sel = witness[bi][share_of[bi]]
+        chosen = [blk.edges[i] for i, flag in enumerate(sel) if flag]
+        selected.update(eid + 1 for eid in chosen)
+        for c in blk.cut_vertices:
+            if c == blk.parent_cut:
+                continue
+            kids = child_blocks[c]
+            d = sum(c in g.edges[eid] for eid in chosen)
+            target = next(t for t in (a, b) if t - d in child_sum[c])
+            remainder = target - d
+            for pos, kid in enumerate(kids):
+                tail = _sumset([witness[k].keys() for k in kids[pos + 1:]], b)
+                share_of[kid] = min(s for s in witness[kid] if remainder - s in tail)
+                remainder -= share_of[kid]
+            assert remainder == 0
 
     factor = Factor(frozenset(selected), a, b)
     defects = factor_defects(g, factor)

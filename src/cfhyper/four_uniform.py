@@ -16,6 +16,7 @@ chromatic number is decided outright (via the factor duality when
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .exact_cf import cf_colorable
 from .factors import cf2_via_duality
@@ -24,6 +25,7 @@ from .model import (
     Hypergraph,
     HypergraphError,
     _bfs,
+    _induced,
     primal_adjacency,
     remove_vertices,
 )
@@ -121,7 +123,8 @@ def safe_separator(h: Hypergraph) -> Separator:
     connected wins. The first candidate almost always works, but not
     universally (removing the host's other vertices can also cut edges
     that reach edge 1 only through them), hence the verified walk down
-    the list; as a last resort every (edge, kept vertex) choice is tested.
+    the list, which goes on, as a last resort, to every (edge, kept
+    vertex) choice not tried yet.
     With a single edge, everything but its largest vertex is removed.
     """
     if h.m < 1:
@@ -151,21 +154,14 @@ def safe_separator(h: Hypergraph) -> Separator:
     candidates.sort()
 
     tried: set[tuple[int, int]] = set()
-    for _, f, _, v in candidates:
+    every_pair = ((f, v) for f in range(1, h.m + 1) for v in h.edge(f))
+    for f, v in chain(((f, v) for _, f, _, v in candidates), every_pair):
         if (f, v) in tried:
             continue
         tried.add((f, v))
         removed = frozenset(w for w in h.edge(f) if w != v)
         if _keeps_connected(h, removed):
             return Separator(f, removed, v)
-
-    for f in range(1, h.m + 1):
-        for v in h.edge(f):
-            if (f, v) in tried:
-                continue
-            removed = frozenset(w for w in h.edge(f) if w != v)
-            if _keeps_connected(h, removed):
-                return Separator(f, removed, v)
 
     raise AnomalyError(
         "no connectivity-preserving separator exists inside any edge")
@@ -245,21 +241,12 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
     return Coloring(tuple(colors[1:]))
 
 
-def _map_components(
-    h: Hypergraph, solver
-) -> Coloring:
+def _map_components(h: Hypergraph, solver) -> Coloring:
     """Apply a per-component solver and merge the colorings (shared palette)."""
-    incident = h.incident_edges()
     colors = [1] * (h.n + 1)
-    for comp in h.components:
-        edge_ids = sorted({e for v in comp for e in incident[v]})
-        relabel = {v: i + 1 for i, v in enumerate(comp)}
-        sub = Hypergraph(
-            len(comp),
-            tuple(tuple(relabel[v] for v in h.edge(e)) for e in edge_ids))
-        sub_coloring = solver(sub)
-        for v in comp:
-            colors[v] = sub_coloring.colors[relabel[v] - 1]
+    for comp, sub in zip(h.components, _induced(h, h.components)):
+        for v, c in zip(comp, solver(sub).colors):
+            colors[v] = c
     return Coloring(tuple(colors[1:]))
 
 

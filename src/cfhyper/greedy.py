@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import Hypergraph, HypergraphError
+from .model import Hypergraph, HypergraphError, _induced
 from .verify import Coloring
 
 
@@ -107,15 +107,9 @@ def peel_then_solve(
     """
     if target_degree < 0:
         raise HypergraphError(f"target degree must be >= 0, got {target_degree}")
-    layers, kept_vertices, alive_edge = _peel_layers(h, target_degree)
-
-    relabel = {v: i + 1 for i, v in enumerate(kept_vertices)}
-    rest_edges = tuple(
-        tuple(relabel[v] for v in edge)
-        for idx, edge in enumerate(h.edges, start=1)
-        if alive_edge[idx]
-    )
-    rest = Hypergraph(len(kept_vertices), rest_edges)
+    layers, kept_vertices, _ = _peel_layers(h, target_degree)
+    # an edge survives the peel exactly when all its vertices do
+    rest = _induced(h, [kept_vertices])[0]
     base_coloring = base(rest)
     allowed = max(target_degree, 1) if rest.n else 0
     if base_coloring.palette > allowed:
@@ -124,8 +118,8 @@ def peel_then_solve(
             f"more than the guaranteed {allowed}")
 
     colors = [0] * (h.n + 1)
-    for v in kept_vertices:
-        colors[v] = base_coloring.colors[relabel[v] - 1]
+    for v, c in zip(kept_vertices, base_coloring.colors):
+        colors[v] = c
     next_free = max(base_coloring.palette, 0)
     for layer in reversed(layers):
         next_free += 1

@@ -7,9 +7,10 @@ module for the build and its cache). When the compiled kernels cannot be
 had (no compiler, an unwritable cache, a compile error) the pure backend
 is used. Set CFHYPER_BACKEND=pure to select it without attempting a
 build, or CFHYPER_BACKEND=compiled to require the compiled one; the
-latter raises ImportError stating why it is unavailable. Both backends
-explore identical search trees; tests assert verdict-, witness-, and
-node-count-level agreement.
+latter raises ImportError stating why it is unavailable. Any other
+nonempty value fails the import too. Both backends explore identical
+search trees; tests assert verdict-, witness-, and node-count-level
+agreement.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ def _compiled() -> tuple[ModuleType | None, str]:
 
 
 _choice = os.environ.get("CFHYPER_BACKEND", "").strip().lower()
-if _choice in ("pure", "python"):
+if _choice == "pure":
     _impl: ModuleType = _kernels_py
-elif _choice in ("", "auto", "compiled"):
+elif _choice in ("", "compiled"):
     _c, _why = _compiled()
     if _c is None and _choice == "compiled":
         raise ImportError(
@@ -43,7 +44,8 @@ elif _choice in ("", "auto", "compiled"):
             f"unavailable: {_why}; use CFHYPER_BACKEND=pure")
     _impl = _c or _kernels_py
 else:
-    raise ImportError(f"unknown CFHYPER_BACKEND value {_choice!r}")
+    raise ImportError(
+        f"unknown CFHYPER_BACKEND value {_choice!r}; use pure or compiled")
 
 solve_degree_constrained = _impl.solve_degree_constrained
 color_search = _impl.color_search

@@ -244,12 +244,18 @@ def _bfs(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
     return order, dist
 
 
-def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:
-    """Blocks of a 2-uniform g (Hopcroft-Tarjan) as lists of 0-based edge
-    indices, plus the cut vertices.
+def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], list[int], set[int]]:
+    """Blocks of a 2-uniform g (Hopcroft-Tarjan) as sorted lists of 0-based
+    edge indices, bottom-up, with the vertex each hangs from, plus the cut
+    vertices.
 
-    Parallel edges between the same endpoints land in a common block. Every
-    edge belongs to exactly one block; isolated vertices to none. The factor
+    Each component is searched from an endpoint of its lowest edge, in
+    order of that edge, and the block holding it is the component's root:
+    it hangs from 0 and is listed last, after every block below it. Every
+    other block is listed after the blocks hanging from its vertices and
+    hangs from the cut vertex it shares with the block above it. Parallel
+    edges between the same endpoints land in a common block. Every edge
+    belongs to exactly one block; isolated vertices to none. The factor
     search runs it on its multigraph, the conflict-free split on the
     vertex-edge incidence graph of a hypergraph.
     """
@@ -262,14 +268,16 @@ def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:
     timer = 1
     edge_stack: list[int] = []
     blocks: list[list[int]] = []
-    cuts: set[int] = set()
+    hangs: list[int] = []
 
-    for root in range(1, g.n + 1):
-        if disc[root] or not adj[root]:
+    for root, _ in g.edges:
+        if disc[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
+        # the root's first edge is the component's lowest, so its block is
+        # the first one popped at the root
+        first: list[int] = []
         frames = [(root, -1, iter(adj[root]))]
         while frames:
             v, entry_edge, neighbors = frames[-1]
@@ -303,16 +311,33 @@ def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], set[int]]:
                     block.append(eid)
                     if eid == entry_edge:
                         break
-                blocks.append(sorted(block))
-                if u == root:
-                    root_children += 1
+                block.sort()
+                if u == root and not first:
+                    first = block
                 else:
-                    cuts.add(u)
-        if root_children > 1:
-            cuts.add(root)
+                    blocks.append(block)
+                    hangs.append(u)
+        blocks.append(first)
+        hangs.append(0)
 
-    blocks.sort(key=lambda blk: blk[0])
-    return blocks, cuts
+    return blocks, hangs, set(hangs) - {0}
+
+
+def _induced(h: Hypergraph, groups: Sequence[Sequence[int]]) -> list[Hypergraph]:
+    """For each ascending vertex group, disjoint from the others, the
+    sub-hypergraph it induces: its vertices renumbered 1.. in group order
+    and the edges of h inside it, in h's order."""
+    group_of = [-1] * (h.n + 1)
+    local = [0] * (h.n + 1)
+    for gi, group in enumerate(groups):
+        for i, v in enumerate(group, start=1):
+            group_of[v], local[v] = gi, i
+    own: list[list[tuple[int, ...]]] = [[] for _ in groups]
+    for edge in h.edges:
+        gi = group_of[edge[0]]
+        if gi >= 0 and all(group_of[v] == gi for v in edge):
+            own[gi].append(tuple(local[v] for v in edge))
+    return [Hypergraph(len(group), tuple(es)) for group, es in zip(groups, own)]
 
 
 def _edge_degree_by_masks(h: Hypergraph) -> int:

@@ -129,3 +129,16 @@ def ring_of_k4(length: int) -> Hypergraph:
         q = [c, c + 1, c + 2, c + 3]
         edges.extend((q[x], q[y]) for x in range(4) for y in range(x + 1, 4))
     return Hypergraph.from_edges(4 * length, edges)
+
+
+def chain_of_k5(count: int) -> Hypergraph:
+    """count copies of K5 in a row, each sharing one cut vertex with the next.
+
+    It has a {1,4}-factor, and the factor search asks the kernel in every
+    block: a budget below count cannot be met.
+    """
+    edges = []
+    for i in range(count):
+        q = range(4 * i + 1, 4 * i + 6)
+        edges.extend((u, v) for u in q for v in q if u < v)
+    return Hypergraph.from_edges(4 * count + 1, edges)

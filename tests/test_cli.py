@@ -19,7 +19,7 @@ from cfhyper.cli import main
 from cfhyper.constructions import build_g_tr
 from cfhyper.kernels import available_backends
 
-from corpus import connected_4uniform_corpus, random_uniform_hypergraph
+from corpus import chain_of_k5, connected_4uniform_corpus, random_uniform_hypergraph
 
 
 def run(capsys, *argv):
@@ -115,10 +115,10 @@ def test_factor_witness_output(tmp_path, capsys):
 
 
 def test_factor_budget(tmp_path, capsys):
+    # a factor exists, but the 12 blocks need at least 12 kernel queries
     g = tmp_path / "g.hg"
-    run(capsys, "gen", "--construction", "g_tr", "--t", "1", "--r", "7",
-        "-o", str(g))
-    code, out, _ = run(capsys, "factor", "--a", "1", "--b", "6",
+    g.write_text(save_hypergraph(chain_of_k5(12)))
+    code, out, _ = run(capsys, "factor", "--a", "1", "--b", "4",
                        "--budget", "3", str(g))
     assert code == 2
     assert out.strip() == "BUDGET"
@@ -338,6 +338,22 @@ def test_usage_error_exit_code(capsys):
 def test_palette_below_one_is_a_usage_error(tmp_path, capsys, argv):
     hg = tmp_path / "e.hg"
     hg.write_text("hypergraph 3 1\n1 2 3\n")
+    argv = [str(tmp_path / a) if a == "out.col" else a for a in argv]
+    code, out, err = run(capsys, *argv, str(hg))
+    assert code == 64
+    assert "usage error" in err and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "out.col").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--a", "0", "--b", "2"),
+    ("factor", "--a", "2", "--b", "1"),
+    ("color", "--algo", "lll", "--max-resamples", "0", "-o", "out.col"),
+])
+def test_bad_targets_and_round_cap_are_usage_errors(tmp_path, capsys, argv):
+    hg = tmp_path / "c4.hg"
+    hg.write_text("hypergraph 4 4\n1 2\n2 3\n3 4\n1 4\n")
     argv = [str(tmp_path / a) if a == "out.col" else a for a in argv]
     code, out, err = run(capsys, *argv, str(hg))
     assert code == 64

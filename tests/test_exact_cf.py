@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import time
@@ -237,6 +238,20 @@ def test_split_agrees_with_plain_kernel(monkeypatch, backend):
         res = chi_cf_exact(h)
         assert res.chi_cf == chi and is_conflict_free(h, res.witness) == [], h
     assert split >= 450 and capped >= 300 and cored >= 300, (split, capped, cored)
+
+
+def test_chi_cf_exact_matches_golden_digest():
+    # recorded from the earlier code, in which exact_cf renumbered the
+    # components and sides of a split with a helper of its own
+    rng, hung = random.Random(1618), random.Random(1729)
+    corpus = [_glued(rng, 14, 14) for _ in range(400)]
+    corpus += [_hung(hung) for _ in range(200)] + list(small_corpus())
+    digest = hashlib.sha256()
+    for h in corpus:
+        res = chi_cf_exact(h)
+        digest.update(repr((res.chi_cf, res.witness.colors, res.nodes)).encode())
+    assert digest.hexdigest() == (
+        "a59c585201d2d70920dfa4bcf5834f1f26455aea42cd6738a97fec542d79e62b")
 
 
 @pytest.mark.parametrize("h, value", [

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -18,7 +19,13 @@ from cfhyper.constructions import build_g_tr, build_h_block, complete_graph, odd
 from cfhyper import factors, kernels
 from cfhyper.model import _biconnected_blocks
 
-from corpus import octahedron, petersen, random_uniform_hypergraph, ring_of_k4
+from corpus import (
+    chain_of_k5,
+    octahedron,
+    petersen,
+    random_uniform_hypergraph,
+    ring_of_k4,
+)
 
 
 def test_parity_precheck_k5():
@@ -56,15 +63,16 @@ def test_parity_precheck_reports_first_odd_component():
 def test_biconnected_blocks_bowtie():
     # two triangles sharing vertex 3
     g = Hypergraph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
-    blocks, cuts = _biconnected_blocks(g)
+    blocks, hangs, cuts = _biconnected_blocks(g)
     assert cuts == {3}
-    assert sorted(sorted(b) for b in blocks) == [[0, 1, 2], [3, 4, 5]]
+    # bottom-up: the root block, holding edge 0, comes last and hangs from 0
+    assert blocks == [[3, 4, 5], [0, 1, 2]] and hangs == [3, 0]
 
 
 def test_biconnected_blocks_bridge_and_parallel():
     # parallel pair forms a block; the bridge is its own block
     g = Hypergraph.from_edges(3, [(1, 2), (1, 2), (2, 3)])
-    blocks, cuts = _biconnected_blocks(g)
+    blocks, _, cuts = _biconnected_blocks(g)
     assert cuts == {2}
     assert sorted(sorted(b) for b in blocks) == [[0, 1], [2]]
 
@@ -154,9 +162,50 @@ def test_determinism():
 
 
 def test_budget_exceeded_raises():
-    g, _ = build_g_tr(1, 7)
+    # a factor exists, but the 12 blocks need at least 12 kernel queries
+    g = chain_of_k5(12)
     with pytest.raises(SearchBudgetExceeded):
-        find_ab_factor(g, 1, 6, budget=5)
+        find_ab_factor(g, 1, 4, budget=11)
+
+
+def _cut_heavy(rng):
+    """One or two trees of small blobs, each blob a path from a vertex
+    already placed plus up to three more edges (parallel ones too), with
+    the vertices renumbered and the edges shuffled."""
+    n = 0
+    edges = []
+    for _ in range(1 + (rng.random() < 0.25)):
+        n += 1
+        verts = [n]
+        for _ in range(rng.randint(2, 6)):
+            hub = rng.choice(verts)
+            size = rng.randint(1, 3)
+            blob = [hub, *range(n + 1, n + 1 + size)]
+            n += size
+            edges.extend(zip(blob, blob[1:]))
+            for _ in range(rng.randint(0, 3)):
+                edges.append(tuple(rng.sample(blob, 2)))
+            verts.extend(blob[1:])
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1]) for u, v in edges]
+    rng.shuffle(edges)
+    return Hypergraph.from_edges(n, edges)
+
+
+def test_factor_witnesses_match_golden_digest():
+    # recorded from the earlier code, in which find_ab_factor oriented each
+    # block-cut tree by a breadth-first search of its own; 680 of the 1,818
+    # queries have a factor
+    rng = random.Random(2718)
+    graphs = [_cut_heavy(rng) for _ in range(300)]
+    digest = hashlib.sha256()
+    for g in graphs + [ring_of_k4(5), octahedron(), petersen()]:
+        for a, b in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (1, 4)]:
+            f = find_ab_factor(g, a, b)
+            digest.update(repr(None if f is None else sorted(f.selected)).encode())
+    assert digest.hexdigest() == (
+        "56cdeda90c8d2c34dedc0cc3d085f333791572c8ffc760869f8a0461084974e3")
 
 
 def test_isolated_vertex_means_none():
@@ -267,7 +316,7 @@ def test_factor_against_brute_force_star_shaped():
             continue
         trials += 1
         g = Hypergraph.from_edges(next_free - 1, edges)
-        assert 1 in _biconnected_blocks(g)[1]
+        assert 1 in _biconnected_blocks(g)[2]
         a = rng.randint(1, 2)
         b = a + trials % 4
         result = find_ab_factor(g, a, b)
@@ -425,8 +474,18 @@ def test_biconnected_blocks_match_networkx():
         pairs = {tuple(sorted(rng.sample(range(1, n + 1), 2)))
                  for _ in range(rng.randint(1, 2 * n))}
         g = Hypergraph.from_edges(n, sorted(pairs))
-        blocks, cuts = _biconnected_blocks(g)
+        blocks, hangs, cuts = _biconnected_blocks(g)
         assert sorted(eid for blk in blocks for eid in blk) == list(range(g.m))
+        # each block hangs from a vertex of a block listed after it, and
+        # each root holds the lowest edge of its component
+        verts = [{v for eid in blk for v in g.edges[eid]} for blk in blocks]
+        for i, hang in enumerate(hangs):
+            if hang:
+                assert hang in verts[i] and any(hang in vs for vs in verts[i + 1:]), g
+        roots = [blk[0] for blk, hang in zip(blocks, hangs) if not hang]
+        lowest = [min(i for i, e in enumerate(g.edges) if e[0] in comp)
+                  for comp in g.components if len(comp) > 1]
+        assert roots == sorted(lowest), g
         ours = sorted(sorted({v for eid in blk for v in g.edges[eid]}) for blk in blocks)
         ref = nx.Graph(g.edges)
         assert ours == sorted(sorted(c) for c in nx.biconnected_components(ref)), g

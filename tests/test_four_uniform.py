@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from cfhyper import (
@@ -188,6 +191,20 @@ def test_color_4uniform_multi_degree():
             st = stats(h)
             assert is_conflict_free(h, c) == []
             assert c.palette <= max(st.max_degree, 3)
+
+
+def test_color_4uniform_matches_golden_digest():
+    # recorded from the earlier code, in which color_4uniform and the peel
+    # renumbered components and survivors with helpers of their own
+    rng = random.Random(1414)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        cap = rng.randint(1, 5)
+        n = rng.randint(4, 60)
+        h = random_uniform_hypergraph(rng, n, 4, cap, rng.randint(1, n * cap // 4 + 1))
+        digest.update(repr(color_4uniform(h).colors).encode())
+    assert digest.hexdigest() == (
+        "9b805716e5b74b28e07b1505af2f9a175628e6e2da3e8eb9b8ca82929dd39f9b")
 
 
 def test_color_4uniform_disjoint_edges():

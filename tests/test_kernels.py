@@ -394,6 +394,13 @@ def test_pure_backend_never_builds(tmp_path):
     assert not (tmp_path / "cfhyper").exists()
 
 
+@pytest.mark.parametrize("value", ["auto", "python", "c"])
+def test_unknown_backend_fails_the_import(tmp_path, value):
+    result = _import_backend(tmp_path, value)
+    assert result.returncode != 0 and result.stdout == ""
+    assert "ImportError" in result.stderr and repr(value) in result.stderr
+
+
 def test_fallback_without_compiler(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
