@@ -1,11 +1,12 @@
-/* Compiled search kernels: the fast twin of cfhyper._kernels_py.
+/* Compiled kernels: the fast twin of cfhyper._kernels_py, plus an edge
+ * line parser for cfhyper.graph_io (cfh_parse, at the end).
  *
- * Same deterministic search order and node accounting as the Python
- * reference, over flat int arrays; cfhyper._kernels_c builds this file and
- * calls it through ctypes. No Python headers are involved. The caller
- * guarantees every vertex id is in [0, n), every allowed degree of a
- * vertex v is in [0, deg(v)] and 0 <= k <= n; return codes below 0 mean
- * an allocation failed.
+ * The searches keep the same deterministic order and node accounting as
+ * the Python reference, over flat int arrays; cfhyper._kernels_c builds
+ * this file and calls it through ctypes. No Python headers are involved.
+ * For the searches the caller guarantees every vertex id is in [0, n),
+ * every allowed degree of a vertex v is in [0, deg(v)] and 0 <= k <= n;
+ * their return codes below 0 mean an allocation failed.
  */
 #include <stdlib.h>
 
@@ -279,4 +280,56 @@ done:
     free(uncolored);
     free(vinc);
     return found;
+}
+
+static int cmp_int(const void *a, const void *b) {
+    int x = *(const int *)a, y = *(const int *)b;
+    return (x > y) - (x < y);
+}
+
+/* The edge lines of a hypergraph file: body holds the len bytes after its
+ * header. Accepted are exactly m lines of ids in 1..n, in ASCII decimal
+ * of at most 10 digits, separated by spaces or tabs and ended by \n (the
+ * last one also by the end of body), then only spaces, tabs and \n. Line
+ * i's ids go sorted to ids[ends[i] .. ends[i + 1]); ids has room for cap
+ * of them, ends for min(m, cap) + 1. Returns ends[m], or -1 to decline
+ * anything else: an empty line, a repeated id, more than cap ids, any
+ * other byte. Declining is no verdict; graph_io's parser then reads the
+ * file and owns every error message. */
+int cfh_parse(const unsigned char *body, long long len, int n, int m, int cap,
+              int *ends, int *ids) {
+    const unsigned char *p = body, *end = body + len;
+    int line, k = 0, first, i, j, v, digits;
+    long long value;
+
+    ends[0] = 0;
+    for (line = 0; line < m; line++) {
+        for (first = k;;) {
+            while (p < end && (*p == ' ' || *p == '\t')) p++;
+            if (p == end || *p == '\n') break;
+            if (k == cap) return -1;
+            for (value = 0, digits = 0; p < end && *p >= '0' && *p <= '9'; p++) {
+                if (++digits > 10) return -1;
+                value = 10 * value + (*p - '0');
+            }
+            if (value < 1 || value > n) return -1;
+            ids[k++] = (int)value;
+        }
+        if (k == first) return -1;
+        if (k - first > 16) {
+            qsort(ids + first, k - first, sizeof(int), cmp_int);
+        } else {
+            for (i = first + 1; i < k; i++) {
+                for (v = ids[i], j = i; j > first && ids[j - 1] > v; j--) ids[j] = ids[j - 1];
+                ids[j] = v;
+            }
+        }
+        for (i = first + 1; i < k; i++)
+            if (ids[i] == ids[i - 1]) return -1;
+        ends[line + 1] = k;
+        if (p < end) p++;
+    }
+    for (; p < end; p++)
+        if (*p != ' ' && *p != '\t' && *p != '\n') return -1;
+    return k;
 }

@@ -1,6 +1,8 @@
-"""Compiled search kernels: _kernels_c.c, called through ctypes.
+"""Compiled kernels: _kernels_c.c, called through ctypes.
 
-Same API, constants and search trees as cfhyper._kernels_py. Importing
+Same search API, constants and search trees as cfhyper._kernels_py, plus
+parse_edges, a parser of hypergraph edge lines that declines all but
+plain input (cfhyper.graph_io's parser is its reference). Importing
 this module loads the C file's build from a per-user cache,
 $XDG_CACHE_HOME/cfhyper (default ~/.cache/cfhyper), under a file name
 keyed by the SHA-256 of the source, so later imports in any process load
@@ -32,6 +34,7 @@ BACKEND_NAME = "compiled"
 
 _SOURCE = Path(__file__).with_name("_kernels_c.c")
 _LLONG_MAX = 2**63 - 1
+_INT_MAX = 2**31 - 1
 
 
 def _build(target: Path) -> None:
@@ -66,12 +69,13 @@ def _build(target: Path) -> None:
 
 
 def _bind(path: str | Path) -> ctypes.CDLL:
-    """Load a build of _kernels_c.c and declare its two entry points."""
+    """Load a build of _kernels_c.c and declare its three entry points."""
     lib = ctypes.CDLL(str(path))
     i, ll, p = ctypes.c_int, ctypes.c_longlong, ctypes.c_void_p
     lib.cfh_solve.argtypes = [i, i, p, ll, p]
     lib.cfh_color.argtypes = [i, i, i, i, p, p]
-    lib.cfh_solve.restype = lib.cfh_color.restype = i
+    lib.cfh_parse.argtypes = [ctypes.c_char_p, ll, i, i, i, p, p]
+    lib.cfh_solve.restype = lib.cfh_color.restype = lib.cfh_parse.restype = i
     return lib
 
 
@@ -132,3 +136,24 @@ def color_search(n: int, edges: Sequence[Sequence[int]], k: int,
     if found < 0:
         raise MemoryError("color_search: out of memory")
     return (data[len(data) - n:].tolist() if found else None, nodes[0])
+
+
+def parse_edges(body: bytes, n: int, m: int) -> tuple[array, array] | None:
+    """The m edge lines in ``body``, a hypergraph file after its header.
+
+    Returns (ends, ids): edge i is ids[ends[i]:ends[i + 1]], sorted, with
+    ends[0] == 0. Returns None, declining, on anything but m lines of
+    distinct ids in 1..n in plain ASCII decimal, separated by spaces or
+    tabs and followed by blank lines at most (see cfh_parse).
+    """
+    cap = (len(body) + 1) // 2  # an id takes a digit and, but the last, a separator
+    if not (0 <= n <= _INT_MAX and 0 <= m <= _INT_MAX and cap < _INT_MAX):
+        return None
+    ends = array("i", [0]) * (min(m, cap) + 1)
+    ids = array("i", [0]) * cap
+    total = _lib.cfh_parse(body, len(body), n, m, cap,
+                           ends.buffer_info()[0], ids.buffer_info()[0])
+    if total < 0:
+        return None
+    del ids[total:]
+    return ends, ids

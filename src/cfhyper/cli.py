@@ -46,8 +46,9 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+def _read(path: str) -> bytes:
+    # the loaders decode, so a byte that is no UTF-8 is a ParseError
+    return Path(path).read_bytes()
 
 
 def _write(path: str, text: str) -> None:

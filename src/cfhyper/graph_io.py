@@ -10,12 +10,20 @@ All three formats are UTF-8 text with '#' comment lines:
   by the whitespace-separated 1-based indices of selected edges.
 
 Saving is canonical: ``load(save(x)) == x`` at field level.
+
+The Python parsers here are the reference and raise every ParseError and
+HypergraphError. On the compiled backend load_hypergraph first offers the
+file to kernels.parse_edges, which returns the same edges or declines; it
+never rejects a file, so a declined file is read here as if it had not
+been offered.
 """
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Callable
 
+from . import kernels
 from .model import Hypergraph, HypergraphError
 from .verify import Coloring
 
@@ -31,16 +39,27 @@ class ParseError(ValueError):
 
 
 def _as_text(data: str | bytes) -> str:
-    return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object has lost the byte order mark; offsets are into it
+        lines = _lines(exc.object[:exc.start].decode("utf-8"))
+        raise ParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}",
+                         len(lines), len((lines[-1] + "x").split())) from None
+
+
+def _lines(text: str) -> list[str]:
+    """Lines end at \\n, \\r\\n or \\r only: str.splitlines() also breaks at form
+    feeds, \\x1c-\\x1e, \\x85 and U+2028/2029, which an editor shows inside a line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    """Non-comment, as (1-based line number, raw line) pairs; blanks kept.
-
-    Lines end at \\n, \\r\\n or \\r only: str.splitlines() also breaks at form
-    feeds, \\x1c-\\x1e, \\x85 and U+2028/2029, which an editor shows inside a line.
-    """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """Non-comment, as (1-based line number, raw line) pairs; blanks kept."""
+    lines = _lines(text)
     if lines[-1] == "":
         lines.pop()
     return [(num, raw) for num, raw in enumerate(lines, start=1)
@@ -93,8 +112,36 @@ def _distinct_in_range(noun: str, hi: int, repeated: str) -> Callable[[int, set[
     return problem
 
 
+def _load_compiled(data: str | bytes) -> Hypergraph | None:
+    """The hypergraph kernels.parse_edges reads, or None when it declines.
+
+    Only a first line of exactly ``hypergraph <n> <m>`` is read here; any
+    other header is left to the reference parser."""
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode()
+    head, _, body = data.partition(b"\n")
+    keyword, *fields = head.split(b" ")
+    if keyword != b"hypergraph" or len(fields) != 2 or not all(
+            f.isdigit() and len(f) < 10 for f in fields):
+        return None
+    n, m = int(fields[0]), int(fields[1])
+    parsed = kernels.parse_edges(body, n, m)
+    if parsed is None:
+        return None
+    ends, ids = parsed
+    del data, body  # freed before the edge tuples are built
+    flat = ids.tolist()
+    return Hypergraph(n, tuple(tuple(flat[i:j]) for i, j in pairwise(ends)))
+
+
 def load_hypergraph(data: str | bytes) -> Hypergraph:
     """Parse the hypergraph format; edge order is preserved, edges sorted."""
+    if kernels.parse_edges is not None:
+        h = _load_compiled(data)
+        if h is not None:
+            return h
     lines = _content_lines(_as_text(data))
     (n, m), start = _parse_header(lines, "hypergraph", 2)
     body = lines[start:start + m]

@@ -1,6 +1,6 @@
-"""Search-kernel backend selection.
+"""Kernel backend selection.
 
-Two backends implement the kernels: the pure-Python reference
+Two backends implement the search kernels: the pure-Python reference
 cfhyper._kernels_py and its compiled twin cfhyper._kernels_c, plain C
 that is built on first import and loaded through ctypes (see that
 module for the build and its cache). When the compiled kernels cannot be
@@ -11,6 +11,10 @@ latter raises ImportError stating why it is unavailable. Any other
 nonempty value fails the import too. Both backends explore identical
 search trees; tests assert verdict-, witness-, and node-count-level
 agreement.
+
+The compiled backend also has parse_edges, which cfhyper.graph_io offers
+hypergraph files before its own parser. On the pure backend it is None
+and graph_io's parser reads every file.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ else:
 
 solve_degree_constrained = _impl.solve_degree_constrained
 color_search = _impl.color_search
+parse_edges = getattr(_impl, "parse_edges", None)
 
 
 def backend_name() -> str:

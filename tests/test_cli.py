@@ -325,6 +325,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "repeated" in err
 
 
+def test_invalid_utf8_is_an_input_error(tmp_path, capsys):
+    bad_hg = tmp_path / "bad.hg"
+    bad_hg.write_bytes(b"hypergraph 2 1\n1 \xff2\n")
+    code, out, err = run(capsys, "stats", str(bad_hg))
+    assert (code, out) == (65, "")
+    assert err == "input error: line 2, column 2: invalid UTF-8 byte 0xff\n"
+    hg = tmp_path / "ok.hg"
+    hg.write_bytes(b"hypergraph 2 1\n1 2\n")
+    bad_col = tmp_path / "bad.col"
+    bad_col.write_bytes(b"coloring 2\n# caf\xe9\n1 2\n")
+    code, out, err = run(capsys, "verify", str(hg), str(bad_col))
+    assert (code, out) == (65, "")
+    assert err == "input error: line 2, column 2: invalid UTF-8 byte 0xe9\n"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "gen", "--construction", "nope", "-o", "x")
     assert code == 64

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from cfhyper import (
     Coloring,
@@ -14,10 +14,15 @@ from cfhyper import (
     save_factor,
     save_hypergraph,
 )
+from cfhyper import graph_io, kernels
 from cfhyper.constructions import build_g_tr, complete_graph, odd_cycle
+from cfhyper.kernels import available_backends
 from cfhyper.model import Hypergraph
 
-from test_model import hypergraphs
+from test_model import hypergraphs, multi_hypergraphs
+
+COMPILED = available_backends().get("compiled")
+needs_compiled = pytest.mark.skipif(COMPILED is None, reason="compiled kernels not built")
 
 
 def test_load_single_edge():
@@ -210,3 +215,129 @@ def test_load_memory_stays_near_one_pass():
         2000, [rng.sample(range(1, 2001), 8) for _ in range(24000)])
     assert _peak_mb(save_hypergraph(uniform)) < 13.4
     assert _peak_mb(save_hypergraph(odd_cycle(100001))) < 32.0
+
+
+def test_load_memory_of_the_reference_parser(monkeypatch):
+    # test_load_memory_stays_near_one_pass under the active backend, which
+    # is the compiled parser where it is built; this is the other one
+    monkeypatch.setattr(kernels, "parse_edges", None)
+    test_load_memory_stays_near_one_pass()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"hypergraph 2 1\n1 \xff2\n", "line 2, column 2: invalid UTF-8 byte 0xff"),
+    (b"\xef\xbb\xbfhypergraph 2 1\n1 2 \xc3\n", "line 2, column 3: invalid UTF-8 byte 0xc3"),
+    (b"# caf\xe9\r\nhypergraph 2 1\n1 2\n", "line 1, column 2: invalid UTF-8 byte 0xe9"),
+    (b"hypergraph 2 1\r\r1  \t\x80\n", "line 3, column 2: invalid UTF-8 byte 0x80"),
+    (b"\xffhypergraph 2 0\n", "line 1, column 1: invalid UTF-8 byte 0xff"),
+])
+def test_invalid_utf8_names_line_and_column(data, message):
+    for loader in (load_hypergraph, load_coloring, load_factor):
+        with pytest.raises(ParseError) as info:
+            loader(data)
+        assert str(info.value) == message
+
+
+# Each of these differs from plain ASCII decimal ids separated by spaces
+# or tabs somewhere; the compiled parser declines them all
+DECLINED = [
+    "hypergraph 10 1\n+3 1\n",
+    "hypergraph 10 1\n3 1_0\n",
+    "hypergraph 3 1\n\u0661 2\n",
+    *(f"hypergraph 3 1\n1{sep}2\n" for sep in "\v\f\x1c\x1d\x1e\x1f\xa0\x85\u2028"),
+    "hypergraph 3 2\r\n1 2\r\n2 3\r\n",
+    "hypergraph 3 2\n1 2\r2 3\n",
+    "hypergraph 3 2\n1 2\n# between\n2 3\n",
+    "hypergraph 3 2\n1 2\n\n2 3\n",
+    "hypergraph 3 1\n1 2\n\n2 3\n",
+    "hypergraph 3 1\n1 2\n# after\n",
+    "hypergraph 3 1\n0 2\n",
+    "hypergraph 3 1\n1 4\n",
+    "hypergraph 3 1\n2 1 2\n",
+    "hypergraph 3 1\n1 2147483648\n",
+    "hypergraph 3 1\n1 9223372036854775808\n",
+    f"hypergraph 3 1\n1 {BIG}\n",
+    f"hypergraph 3 1\n{'0' * 4999}1\n",
+    "hypergraph 3 2\n1 2\n",
+    "hypergraph 3 1",
+    "hypergraph 3 10000000000\n1 2\n",
+    "hypergraph 10000000000 1\n1 2\n",
+    "hypergraph 3 2147483648\n1 2\n",
+    "# comment\nhypergraph 3 1\n1 2\n",
+    "hypergraph  3 1\n1 2\n",
+    "hypergraph\t3 1\n1 2\n",
+    "hypergraph 3 1 \n1 2\n",
+    "hypergraph 3\n1 2\n",
+    "hypergraph 3 1\n1 2 x\n",
+    "graph 3 1\n1 2\n",
+    "",
+]
+ACCEPTED = [
+    "hypergraph 3 1\n3 1 2",
+    "hypergraph 3 2\n 3\t1  \n2 3\n \t\n\n",
+    "hypergraph 03 2\n0001 2\n0000000003\n",
+    "hypergraph 0 0\n",
+    "hypergraph 5 0",
+    "hypergraph 5 0\n\n  \n",
+]
+
+
+def _outcome(data):
+    try:
+        return load_hypergraph(data)
+    except ValueError as exc:  # ParseError or HypergraphError
+        return type(exc), str(exc)
+
+
+def _compiled_and_reference(data):
+    """load_hypergraph's outcome with the compiled parser, then without it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "parse_edges", COMPILED.parse_edges)
+        compiled = _outcome(data)
+        mp.setattr(kernels, "parse_edges", None)
+        return compiled, _outcome(data)
+
+
+@needs_compiled
+@pytest.mark.parametrize("text", DECLINED + ACCEPTED)
+def test_compiled_parser_declines_all_but_plain_ids(text, monkeypatch):
+    monkeypatch.setattr(kernels, "parse_edges", COMPILED.parse_edges)
+    for data in (text, text.encode()):
+        h = graph_io._load_compiled(data)
+        assert (h is None) == (text in DECLINED)
+        compiled, reference = _compiled_and_reference(data)
+        assert compiled == reference
+        assert h is None or h == reference
+
+
+_STRAY = st.sampled_from([
+    "+1", "1_0", "\u0661", "\v", "\f", "\x1c", "\x1f", "\xa0", "\r", "\r\n",
+    "\n# c\n", "\n\n", "\n \n", "0", "2147483648", "9223372036854775808",
+    "0" * 4999 + "1", BIG, "x", "-", "\x00", "\u2028"])
+
+
+@st.composite
+def hypergraph_files(draw):
+    """A hypergraph file as text, laid out in any way the format allows,
+    sometimes with one stray token or separator put in."""
+    h = draw(multi_hypergraphs())
+    gaps = st.sampled_from([" ", "\t", "  ", " \t"])
+    lines = []
+    for edge in h.edges:
+        ids = [draw(st.sampled_from(["", "0", "00"])) + str(v)
+               for v in draw(st.permutations(edge))]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + "".join(
+            draw(gaps) + v if k else v for k, v in enumerate(ids)))
+    body = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \t\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(_STRAY) + body[at:]
+    return f"hypergraph {h.n} {h.m}\n" + body
+
+
+@needs_compiled
+@given(hypergraph_files())
+def test_compiled_parser_matches_the_reference(text):
+    for data in (text, text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        compiled, reference = _compiled_and_reference(data)
+        assert compiled == reference

@@ -9,11 +9,13 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 import cfhyper
+from cfhyper import graph_io, kernels
 from cfhyper.kernels import FOUND, available_backends
 
 BACKENDS = available_backends()
@@ -266,6 +268,91 @@ COLOR_EDGE_CASES = {
 }
 
 
+_LONG_EDGE = " ".join(map(str, range(40, 0, -1))).encode()
+# (body, n, m, (ends, ids) or None for a decline)
+PARSE_EDGE_CASES = {
+    "empty buffer, no edges": (b"", 3, 0, ([0], [])),
+    "empty buffer, one edge": (b"", 3, 1, None),
+    "unterminated last line": (b"3 1\n2\t3", 3, 2, ([0, 2, 4], [1, 3, 2, 3])),
+    "trailing blank lines": (b"1 2\n \t\n\n", 3, 1, ([0, 2], [1, 2])),
+    "more lines than m": (b"1 2\n2 3\n", 3, 1, None),
+    "fewer lines than m": (b"1 2\n", 3, 2, None),
+    "m past the lines there": (b"1 2\n", 3, 2**31 - 1, None),
+    "largest id": (b"2147483647 1\n", 2**31 - 1, 1, ([0, 2], [1, 2147483647])),
+    "id past a C int": (b"2147483648\n", 2**31 - 1, 1, None),
+    "overflowing digit run": (b"1 " + b"9" * 40 + b"\n", 3, 1, None),
+    "ten digits": (b"0000000002\n", 3, 1, ([0, 1], [2])),
+    "eleven digits": (b"00000000002\n", 3, 1, None),
+    "zero": (b"0 1\n", 3, 1, None),
+    "repeated id": (b"2 1 2\n", 3, 1, None),
+    "long edge": (_LONG_EDGE + b"\n", 40, 1, ([0, 40], list(range(1, 41)))),
+    "repeat in a long edge": (_LONG_EDGE + b" 7\n", 40, 1, None),
+    "blank edge line": (b"1 2\n\n2 3\n", 3, 2, None),
+    "carriage return": (b"1 2\r\n", 3, 1, None),
+    "comment": (b"1 2\n# c\n", 3, 1, None),
+    "NUL byte": (b"1\x002\n", 3, 1, None),
+    "non-ASCII byte": (b"1\xc2\xa02\n", 3, 1, None),
+    "no vertices": (b"1\n", 0, 1, None),
+    "n past a C int": (b"1\n", 2**31, 1, None),
+    "negative m": (b"", 3, -1, None),
+}
+
+
+def _random_parse_buffers(count, seed):
+    """(body, n, m): edge lines, some broken by a stray byte or digit run."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(1, 9), rng.randint(0, 6)
+        lines = []
+        for _ in range(max(0, m + rng.choice([-1, 0, 0, 0, 1]))):
+            ids = rng.sample(range(1, n + 1), rng.randint(1, min(n, 5)))
+            if rng.random() < 0.1:
+                ids.append(rng.choice([0, n + 1, ids[0]]))
+            lines.append(rng.choice([" ", "\t", " \t "]).join(map(str, ids)))
+        body = "\n".join(lines) + rng.choice(["", "\n", "\n \n"])
+        if body and rng.random() < 0.3:
+            at = rng.randrange(len(body))
+            stray = rng.choice(["\t", "\r", "#", "+", "x", "\x00", "9" * 12, "\n\n"])
+            body = body[:at] + stray + body[at:]
+        yield body.encode(), n, m
+
+
+def _reference_edges(body, n, m):
+    """graph_io's reference parse of the body as (ends, ids), or None."""
+    parse, kernels.parse_edges = kernels.parse_edges, None
+    try:
+        h = graph_io.load_hypergraph(b"hypergraph %d %d\n" % (n, m) + body)
+    except ValueError:
+        return None
+    finally:
+        kernels.parse_edges = parse
+    ids = [v for edge in h.edges for v in edge]
+    return [0, *accumulate(map(len, h.edges))], ids
+
+
+def _check_parse(parse_edges, body, n, m):
+    """The kernel's parse, which the reference must read alike when accepted."""
+    got = parse_edges(body, n, m)
+    if got is not None:
+        got = got[0].tolist(), got[1].tolist()
+        assert got == _reference_edges(body, n, m), (body, n, m)
+    return got
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(PARSE_EDGE_CASES))
+def test_parse_edges_edge_cases(case):
+    body, n, m, expected = PARSE_EDGE_CASES[case]
+    assert _check_parse(BACKENDS["compiled"].parse_edges, body, n, m) == expected
+
+
+@needs_compiled
+def test_parse_edges_agrees_with_the_reference():
+    accepted = sum(_check_parse(BACKENDS["compiled"].parse_edges, *args) is not None
+                   for args in _random_parse_buffers(3000, 31))
+    assert 600 < accepted < 2400  # both outcomes are exercised
+
+
 @needs_compiled
 @pytest.mark.parametrize("case", sorted({**DEGREE_EDGE_CASES, **ALLOWED_EDGE_CASES}))
 def test_degree_constrained_edge_cases(case):
@@ -307,9 +394,10 @@ def test_compiled_rejects_bad_input(call):
 _SANITIZED_RUN = """
 import sys
 from cfhyper import _kernels_c, _kernels_py
-from test_kernels import (ALLOWED_EDGE_CASES, DEGREE_EDGE_CASES,
-                          _random_allowed_instances, _random_color_instances,
-                          _random_degree_instances)
+from test_kernels import (ALLOWED_EDGE_CASES, DEGREE_EDGE_CASES, PARSE_EDGE_CASES,
+                          _check_parse, _random_allowed_instances,
+                          _random_color_instances, _random_degree_instances,
+                          _random_parse_buffers)
 _kernels_c._lib = _kernels_c._bind(sys.argv[1])
 count = 0
 for args in [*DEGREE_EDGE_CASES.values(), *ALLOWED_EDGE_CASES.values(),
@@ -319,6 +407,12 @@ for args in [*DEGREE_EDGE_CASES.values(), *ALLOWED_EDGE_CASES.values(),
     count += 1
 for args in _random_color_instances(1500, 22):
     assert _kernels_c.color_search(*args) == _kernels_py.color_search(*args), args
+    count += 1
+for body, n, m, expected in PARSE_EDGE_CASES.values():
+    assert _check_parse(_kernels_c.parse_edges, body, n, m) == expected, body
+    count += 1
+for args in _random_parse_buffers(1500, 24):
+    _check_parse(_kernels_c.parse_edges, *args)
     count += 1
 print(count)
 """
