@@ -149,6 +149,8 @@ def parse_edges(body: bytes, n: int, m: int) -> tuple[array, array] | None:
     cap = (len(body) + 1) // 2  # an id takes a digit and, but the last, a separator
     if not (0 <= n <= _INT_MAX and 0 <= m <= _INT_MAX and cap < _INT_MAX):
         return None
+    if b"#" in body or b"\r" in body:  # comments, CR line ends: no buffers, no scan
+        return None
     ends = array("i", [0]) * (min(m, cap) + 1)
     ids = array("i", [0]) * cap
     total = _lib.cfh_parse(body, len(body), n, m, cap,

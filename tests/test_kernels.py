@@ -268,7 +268,7 @@ COLOR_EDGE_CASES = {
 }
 
 
-_LONG_EDGE = " ".join(map(str, range(40, 0, -1))).encode()
+_LONG_EDGE = " ".join(map(str, range(300, 0, -1))).encode()  # qsorted: past 256 ids
 # (body, n, m, (ends, ids) or None for a decline)
 PARSE_EDGE_CASES = {
     "empty buffer, no edges": (b"", 3, 0, ([0], [])),
@@ -285,8 +285,8 @@ PARSE_EDGE_CASES = {
     "eleven digits": (b"00000000002\n", 3, 1, None),
     "zero": (b"0 1\n", 3, 1, None),
     "repeated id": (b"2 1 2\n", 3, 1, None),
-    "long edge": (_LONG_EDGE + b"\n", 40, 1, ([0, 40], list(range(1, 41)))),
-    "repeat in a long edge": (_LONG_EDGE + b" 7\n", 40, 1, None),
+    "long edge": (_LONG_EDGE + b"\n", 300, 1, ([0, 300], list(range(1, 301)))),
+    "repeat in a long edge": (_LONG_EDGE + b" 7\n", 300, 1, None),
     "blank edge line": (b"1 2\n\n2 3\n", 3, 2, None),
     "carriage return": (b"1 2\r\n", 3, 1, None),
     "comment": (b"1 2\n# c\n", 3, 1, None),
@@ -351,6 +351,14 @@ def test_parse_edges_agrees_with_the_reference():
     accepted = sum(_check_parse(BACKENDS["compiled"].parse_edges, *args) is not None
                    for args in _random_parse_buffers(3000, 31))
     assert 600 < accepted < 2400  # both outcomes are exercised
+
+
+@needs_compiled
+@pytest.mark.parametrize("body", [b"1 2\n2 3\n# end\n", b"# c\n1 2\n2 3\n", b"1 2\r\n2 3\r\n"])
+def test_parse_edges_declines_comments_and_cr_before_the_kernel(monkeypatch, body):
+    compiled = BACKENDS["compiled"]
+    monkeypatch.setattr(compiled, "_lib", None)  # any kernel call would raise
+    assert compiled.parse_edges(body, 3, 2) is None
 
 
 @needs_compiled
