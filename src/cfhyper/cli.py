@@ -188,12 +188,7 @@ def factor(a: int, b: int, budget: int, file: str) -> int:
         _echo(f"infeasible by parity: {obstruction}", err=True)
         _echo("NONE")
         return 1
-    try:
-        found = find_ab_factor(g, a, b, budget=budget)
-    except SearchBudgetExceeded as exc:
-        _echo(str(exc), err=True)
-        _echo("BUDGET")
-        return 2
+    found = find_ab_factor(g, a, b, budget=budget)
     if found is None:
         _echo("NONE")
         return 1
@@ -205,10 +200,13 @@ def factor(a: int, b: int, budget: int, file: str) -> int:
 @click.option("--max-k", type=click.IntRange(min=1), default=None,
               help="largest palette to try (default: max degree + 1)")
 @click.option("--mode", type=click.Choice(["exact", "characterize-4u"]),
-              default="exact", show_default=True)
+              default="exact", show_default=True,
+              help="characterize-4u: the exact oracle, for connected "
+                   "4-uniform inputs of max degree <= 2 only")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def chi_cf(max_k: int | None, mode: str, file: str) -> int:
-    """Exact conflict-free chromatic number plus a witness coloring."""
+    """Exact conflict-free chromatic number plus a witness coloring, or
+    BUDGET when the factor search for a 2-regular uniform part runs out."""
     h = load_hypergraph(_read(file))
     if mode == "characterize-4u":
         res = characterize_4uniform(h)
@@ -243,6 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
+    except SearchBudgetExceeded as exc:
+        _echo(str(exc), err=True)
+        _echo("BUDGET")
+        return 2
     except click.UsageError as exc:
         _echo(f"usage error: {exc.format_message()}", err=True)
         return 64

@@ -6,15 +6,20 @@ complete backtracking search of the whole instance in the kernel, with
 ties broken toward smaller colors, so its witnesses are deterministic.
 
 Conflict-free colorability with k colors is decided part by part. Each
-connected component is colored on its own. A connected instance is split
-at a separating edge e, one whose removal leaves sides C_1..C_j; S_i is
-e ∩ C_i. Colors can be renamed in each side on its own, so e is
-conflict-free exactly when some side has U_i, C_i plus the edge S_i is
-k-colorable, and every other side has Z_j, C_j has a k-coloring in which
-S_j misses a color. Z_j is k-colorability when |S_j| < k and
-(k-1)-colorability when S_j is all of C_j. Any other side would need a
-per-vertex color cap, which the kernel does not have, so at that k the
-next split is tried, and the kernel decides when none is left.
+connected component is colored on its own. A connected part that is
+2-regular and r-uniform never reaches the kernel: by the paper's
+duality it has a conflict-free 2-coloring exactly when its r-regular
+dual multigraph has a {1, r-1}-factor (cf2_via_duality), and the greedy
+peeling colors it with Delta + 1 = 3 colors (Pach and Tardos). Any
+other connected part is split at a separating edge e, one whose removal
+leaves sides C_1..C_j; S_i is e ∩ C_i. Colors can be renamed in each
+side on its own, so e is conflict-free exactly when some side has U_i,
+C_i plus the edge S_i is k-colorable, and every other side has Z_j, C_j
+has a k-coloring in which S_j misses a color. Z_j is k-colorability
+when |S_j| < k and (k-1)-colorability when S_j is all of C_j. Any other
+side would need a per-vertex color cap, which the kernel does not have,
+so at that k the next split is tried, and the kernel decides when none
+is left.
 
 Sides hanging off one core are cut off together (a cycle with a pendant
 edge at every vertex is one split, not one per pendant). The core K
@@ -51,6 +56,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import kernels
+from .factors import cf2_via_duality
+from .greedy import greedy_cf_coloring
 from .model import Hypergraph, _bfs, _biconnected_blocks, _induced
 from .verify import Coloring
 
@@ -65,7 +72,7 @@ _PARTS_PER_VERTEX = 8
 
 @dataclass(frozen=True)
 class ChiCfResult:
-    """Exact chromatic value with an optimal witness and search effort."""
+    """Exact chromatic value, an optimal witness and the color kernel's nodes."""
 
     chi_cf: int
     witness: Coloring
@@ -287,6 +294,10 @@ class _ConflictFree:
                 for v, c in zip(vertices, found):
                     colors[v] = c
             return tuple(colors[1:])
+        # the degree sum screens out the other parts before regular_a
+        if sum(map(len, h.edges)) == 2 * h.n and h.regular_a == 2 and h.uniform_r:
+            found = cf2_via_duality(h) if k == 2 else greedy_cf_coloring(h)
+            return None if found is None else found.colors
         if part.depth < _MAX_DEPTH and self.parts_left > 0:
             if part.splits is None:
                 part.splits = _splits(h)
@@ -433,8 +444,10 @@ def chi_cf_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
 
     Searches k = 1..k_max and returns None when every palette up to k_max
     fails. The default cap max_degree+1 always suffices, so the default
-    call never returns None. nodes counts the kernel's nodes over the
-    whole call.
+    call never returns None. nodes counts the color kernel's nodes over
+    the whole call; a 2-regular uniform part goes to the factor duality
+    instead, adds no nodes, and raises SearchBudgetExceeded when its
+    factor search runs out of nodes.
     """
     if k_max is None:
         k_max = h.max_degree + 1

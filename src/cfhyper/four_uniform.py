@@ -8,9 +8,8 @@ through a farthest edge, just as deleting a vertex farthest from a root
 never disconnects a graph. Ordering the remaining vertices by reverse
 breadth-first search then lets a single pass color connected 4-uniform
 hypergraphs of max degree 3 with 3 colors; peeling reduces higher degrees
-to that case, and for max degree at most 2 the exact conflict-free
-chromatic number is decided outright (via the factor duality when
-2-regular).
+to that case. At max degree at most 2 the exact oracle chi_cf_exact
+colors optimally; it decides 2-regular parts by the factor duality.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .exact_cf import cf_colorable
-from .factors import cf2_via_duality
+from .exact_cf import chi_cf_exact
 from .greedy import peel_then_solve
 from .model import (
     Hypergraph,
@@ -255,15 +253,15 @@ def color_4uniform(h: Hypergraph) -> Coloring:
     max(max_degree, 3) colors.
 
     Degrees above 3 are peeled away layer by layer; the remainder is
-    3-colored per component. At max degree <= 2 the exact characterization
-    supplies an optimal coloring instead.
+    3-colored per component. At max degree <= 2 the exact oracle supplies
+    an optimal coloring instead.
     """
     if h.m > 0 and h.uniform_r != 4:
         raise HypergraphError("expected a 4-uniform hypergraph")
     if h.max_degree >= 3:
         return peel_then_solve(
             h, 3, lambda rest: _map_components(rest, three_color_4uniform))
-    return _map_components(h, lambda sub: characterize_4uniform(sub).coloring)
+    return chi_cf_exact(h).witness
 
 
 @dataclass(frozen=True)
@@ -276,13 +274,11 @@ class Characterization:
 
 def characterize_4uniform(h: Hypergraph) -> Characterization:
     """Exact conflict-free chromatic number of a connected 4-uniform
-    hypergraph of max degree at most 2, with witness.
+    hypergraph of max degree at most 2, with witness, from chi_cf_exact.
 
-    A single edge needs 2 colors. A 2-regular hypergraph 2-colors exactly
-    when its dual 4-regular graph has a {1,3}-factor, and takes 3 colors
-    otherwise. A non-regular one always 2-colors; the exact search result
-    is still verified and a failure raises, since it would contradict the
-    degree structure.
+    A 2-regular one 2-colors exactly when its dual 4-regular graph has a
+    {1,3}-factor and takes 3 colors otherwise; any other one 2-colors, so
+    a larger value there contradicts the degree structure and raises.
     """
     if h.m == 0:
         return Characterization(1 if h.n else 0, Coloring(tuple([1] * h.n)))
@@ -293,23 +289,9 @@ def characterize_4uniform(h: Hypergraph) -> Characterization:
     if h.max_degree > 2:
         raise HypergraphError(
             f"characterization requires max degree <= 2, got {h.max_degree}")
-
-    if h.max_degree == 1:
-        # connected with positive degree everywhere means a single edge
-        edge = h.edge(1)
-        colors = [2] * (h.n + 1)
-        colors[edge[0]] = 1
-        return Characterization(2, Coloring(tuple(colors[1:])))
-
-    if h.regular_a == 2:
-        two = cf2_via_duality(h)
-        if two is not None:
-            return Characterization(2, two)
-        return Characterization(3, three_color_4uniform(h))
-
-    two = cf_colorable(h, 2)
-    if two is None:
+    res = chi_cf_exact(h)
+    if res.chi_cf > 2 and h.regular_a != 2:
         raise AnomalyError(
             "a non-regular connected 4-uniform hypergraph of max degree 2 "
             "failed to 2-color; this contradicts a proven guarantee")
-    return Characterization(2, two)
+    return Characterization(res.chi_cf, res.witness)

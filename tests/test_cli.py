@@ -9,6 +9,8 @@ import pytest
 from cfhyper import (
     Hypergraph,
     color_bound,
+    dual,
+    is_conflict_free,
     load_coloring,
     load_factor,
     load_hypergraph,
@@ -19,7 +21,12 @@ from cfhyper.cli import main
 from cfhyper.constructions import build_g_tr
 from cfhyper.kernels import available_backends
 
-from corpus import chain_of_k5, connected_4uniform_corpus, random_uniform_hypergraph
+from corpus import (
+    chain_of_k5,
+    connected_4uniform_corpus,
+    octahedron,
+    random_uniform_hypergraph,
+)
 
 
 def run(capsys, *argv):
@@ -179,6 +186,34 @@ def test_chi_cf_characterize_mode(tmp_path, capsys):
     code, out, _ = run(capsys, "chi-cf", "--mode", "characterize-4u", str(d))
     assert code == 0
     assert out.splitlines()[0] == "3"
+
+
+def test_chi_cf_dual_of_g_tr(tmp_path, capsys):
+    # the paper's counterexample: no {1,6}-factor, so its dual needs 3
+    g, d = tmp_path / "g.hg", tmp_path / "d.hg"
+    assert run(capsys, "gen", "--construction", "g_tr", "--t", "1", "--r", "7",
+               "-o", str(g))[0] == 0
+    assert run(capsys, "dual", str(g), "-o", str(d))[0] == 0
+    code, out, _ = run(capsys, "chi-cf", str(d))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "3"
+    witness = load_coloring("\n".join(lines[1:]))
+    assert witness.palette == 3
+    assert is_conflict_free(load_hypergraph(d.read_text()), witness) == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "characterize-4u"])
+def test_chi_cf_budget(tmp_path, capsys, monkeypatch, mode):
+    # the duality's factor search runs out of nodes: exit 2, no traceback
+    monkeypatch.setattr(kernels, "solve_degree_constrained",
+                        lambda n, eu, ev, allowed, budget: (kernels.BUDGET, None, budget + 1))
+    d = tmp_path / "d.hg"
+    d.write_text(save_hypergraph(dual(octahedron())))
+    code, out, err = run(capsys, "chi-cf", "--mode", mode, str(d))
+    assert code == 2
+    assert out.strip() == "BUDGET"
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_color_verify_loop(tmp_path, capsys):

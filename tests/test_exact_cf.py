@@ -19,13 +19,14 @@ from cfhyper import (
     stats,
 )
 from cfhyper.constructions import (
+    build_g_tr,
     complete_graph,
     gap_nested,
     k4e_gadget,
     odd_cycle,
     two_cliques,
 )
-from cfhyper import kernels
+from cfhyper import exact_cf, kernels
 from cfhyper.cli import main
 from cfhyper.exact_cf import _splits
 from cfhyper.kernels import available_backends
@@ -94,10 +95,16 @@ def test_above_k_max():
 
 
 def test_witness_minimality_and_nodes():
+    # C5 is 2-regular and uniform, so the factor duality decides it and
+    # the colour kernel is never asked
     res = chi_cf_exact(odd_cycle(5))
-    assert res.nodes > 0
+    assert res.nodes == 0
     assert res.witness.palette == res.chi_cf
     assert cf_colorable(odd_cycle(5), res.chi_cf - 1) is None
+    res = chi_cf_exact(complete_graph(4))
+    assert res.nodes > 0
+    assert res.witness.palette == res.chi_cf
+    assert cf_colorable(complete_graph(4), res.chi_cf - 1) is None
 
 
 def test_proper_oracle():
@@ -146,6 +153,77 @@ def test_two_colorability_matches_duality_on_2regular():
         assert (exact == 2) == (duality is not None)
         if duality is not None:
             assert is_conflict_free(h, duality) == []
+
+
+# --- 2-regular uniform parts go to the factor duality ------------------------
+
+def _regular_multigraph(rng: random.Random, n: int, r: int) -> Hypergraph:
+    """A random loopless r-regular multigraph on n vertices (n * r even),
+    parallel edges allowed, as a 2-uniform hypergraph."""
+    while True:
+        stubs = [v for v in range(1, n + 1) for _ in range(r)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(u != v for u, v in pairs):
+            return Hypergraph.from_edges(n, pairs)
+
+
+def _two_regular_uniform(rng: random.Random) -> Hypergraph:
+    """The dual of a random r-regular multigraph, r = 2..6: 2-regular and
+    r-uniform, with parallel edges wherever the multigraph has them. Now
+    and then the disjoint union with a second such dual, whose r may
+    differ, so that only the parts are uniform. Relabelled."""
+    n, edges = 0, []
+    for _ in range(1 if rng.random() < 0.7 else 2):
+        r = rng.randint(2, 6)
+        size = rng.choice([s for s in range(2, 9) if s * r % 2 == 0 and s * r <= 20])
+        part = dual(_regular_multigraph(rng, size, r))
+        edges += [tuple(v + n for v in e) for e in part.edges]
+        n += part.n
+    return _relabel(rng, n, edges)
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_two_regular_uniform_parts_agree_with_plain_kernel(monkeypatch, backend):
+    impl = available_backends()[backend]
+    monkeypatch.setattr(kernels, "color_search", impl.color_search)
+    rng = random.Random(31337)
+    corpus = [_two_regular_uniform(rng) for _ in range(300)]
+    assert any(len(h.components) > 1 for h in corpus)
+    assert any(len(set(h.edges)) < h.m for h in corpus)  # parallel edges
+    calls = _counted(monkeypatch)
+    for h in corpus:
+        edges0 = [tuple(v - 1 for v in e) for e in h.edges]
+        for k in (1, 2, 3):
+            plain = impl.color_search(h.n, edges0, k, kernels.CONFLICT_FREE)[0]
+            got = cf_colorable(h, k)
+            assert (got is None) == (plain is None), (h, k)
+            if got is not None:
+                assert is_conflict_free(h, got) == [] and got.palette <= k, (h, k)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("t, r", [(1, 13), (1, 21), (3, 21)])
+def test_g_tr_duals_never_reach_the_kernel(monkeypatch, t, r):
+    # no {1, r-1}-factor in g_tr(t, r) is the paper's theorem, so its dual
+    # needs Delta + 1 = 3 colors
+    h = dual(build_g_tr(t, r)[0])
+    calls = _counted(monkeypatch)
+    res = chi_cf_exact(h)
+    assert res.chi_cf == 3 and is_conflict_free(h, res.witness) == []
+    assert calls[0] == 0 and res.nodes == 0
+
+
+@pytest.mark.parametrize("m", [21, 101])
+def test_odd_two_regular_4uniform_never_reaches_the_kernel(monkeypatch, m):
+    # each edge of a 2-coloring would hold an odd number of color-1
+    # vertices, m odd numbers that sum to twice the color-1 vertices
+    h = dual(_regular_multigraph(random.Random(m), m, 4))
+    assert h.uniform_r == 4 and h.regular_a == 2 and h.m == m
+    calls = _counted(monkeypatch)
+    res = chi_cf_exact(h)
+    assert res.chi_cf == 3 and is_conflict_free(h, res.witness) == []
+    assert calls[0] == 0 and res.nodes == 0
 
 
 # --- the split at separating edges -------------------------------------------
@@ -241,8 +319,8 @@ def test_split_agrees_with_plain_kernel(monkeypatch, backend):
 
 
 def test_chi_cf_exact_matches_golden_digest():
-    # recorded from the earlier code, in which exact_cf renumbered the
-    # components and sides of a split with a helper of its own
+    # the values were recorded before 2-regular uniform parts went to the
+    # factor duality, the witnesses and kernel nodes after
     rng, hung = random.Random(1618), random.Random(1729)
     corpus = [_glued(rng, 14, 14) for _ in range(400)]
     corpus += [_hung(hung) for _ in range(200)] + list(small_corpus())
@@ -255,7 +333,7 @@ def test_chi_cf_exact_matches_golden_digest():
     assert values.hexdigest() == (
         "9c1490ce84472524853a7ee514cfa9e641a164486d5eca6ad424478828e92bef")
     assert digest.hexdigest() == (
-        "a59c585201d2d70920dfa4bcf5834f1f26455aea42cd6738a97fec542d79e62b")
+        "bf3f4386ad5efdfbcdc915e9e961206605d3ee35f8f571d1328d1b9a7293f16c")
 
 
 @pytest.mark.parametrize("h, value", [
@@ -303,12 +381,32 @@ def _counted(monkeypatch) -> list[int]:
     return calls
 
 
+def _searches(monkeypatch) -> list[exact_cf._ConflictFree]:
+    """The conflict-free searches made from here on."""
+    made = []
+
+    class Recorded(exact_cf._ConflictFree):
+        def __init__(self, h: Hypergraph):
+            super().__init__(h)
+            made.append(self)
+
+    monkeypatch.setattr(exact_cf, "_ConflictFree", Recorded)
+    return made
+
+
+def _parts(search: exact_cf._ConflictFree) -> int:
+    """The parts a search has created."""
+    return exact_cf._PARTS_PER_VERTEX * search.n - search.parts_left
+
+
 @pytest.mark.parametrize("name", ["reversed path", "chain of K4s", "tree of triangles"])
 def test_split_size_stays_linear(monkeypatch, name):
-    # taking the first separating edge by index, or asking U_i anew when
-    # |S_i| = 1, makes the number of queries exponential on the first two;
-    # asking U of the side with |S_i| = 2 before the free U of the other
-    # makes it n^1.58 on the third
+    # asking U_i anew when |S_i| = 1 makes the parts grow past 2 per
+    # vertex on all three; taking the first separating edge by index
+    # hands the chain of K4s to the kernel whole once the split is
+    # _MAX_DEPTH deep (over a billion nodes); asking U of the side with
+    # |S_i| = 2 before the free U of the other makes the parts n^1.58 on
+    # the tree of triangles
     if name == "reversed path":
         n, value = 200, 2
         h = Hypergraph.from_edges(n, [(v, v + 1) for v in range(n - 1, 0, -1)])
@@ -326,27 +424,28 @@ def test_split_size_stays_linear(monkeypatch, name):
                  for i in range(1, 5) for j in range(i + 1, 5)]
         edges += [(4 * c + 4, 4 * c + 5) for c in range(49)]
         h = _relabel(random.Random(4), n, edges)
-    calls = _counted(monkeypatch)
-    start = time.perf_counter()
+    calls, searches = _counted(monkeypatch), _searches(monkeypatch)
     res = chi_cf_exact(h)
-    assert time.perf_counter() - start < 0.1
     assert res.chi_cf == value and is_conflict_free(h, res.witness) == []
-    assert calls[0] <= n
+    assert calls[0] <= n and res.nodes <= 4 * n
+    assert _parts(searches[0]) <= 2 * n
 
 
 def test_comb_is_cut_in_one_split(monkeypatch):
     # a 400-cycle with a pendant edge at every vertex: every pendant edge
-    # separates one vertex, and one split around the cycle cuts them all
+    # separates one vertex, and one split around the cycle cuts them all.
+    # The core is then a cycle, which the factor duality decides; cut one
+    # pendant per split, the split stops _MAX_DEPTH deep and hands the
+    # rest to the kernel
     n = 400
     edges = [(v, v % n + 1) for v in range(1, n + 1)]
     edges += [(v, v + n) for v in range(1, n + 1)]
     h = Hypergraph.from_edges(2 * n, edges)
-    calls = _counted(monkeypatch)
-    start = time.perf_counter()
+    calls, searches = _counted(monkeypatch), _searches(monkeypatch)
     res = chi_cf_exact(h)
-    assert time.perf_counter() - start < 0.1
     assert res.chi_cf == 2 and is_conflict_free(h, res.witness) == []
-    assert calls[0] <= 2
+    assert calls[0] == 0
+    assert _parts(searches[0]) <= h.n
 
 
 def _hyper_comb(cycle: int, diamonds: bool, wide: bool) -> Hypergraph:
@@ -380,13 +479,12 @@ def test_hyper_combs_stay_linear(monkeypatch, cycle, diamonds, wide):
     h = _hyper_comb(cycle, diamonds, wide)
     edges0 = [tuple(v - 1 for v in e) for e in h.edges]
     plain = kernels.color_search(h.n, edges0, 3, kernels.CONFLICT_FREE)[0]
-    calls = _counted(monkeypatch)
-    start = time.perf_counter()
+    calls, searches = _counted(monkeypatch), _searches(monkeypatch)
     got = cf_colorable(h, 3)
-    assert time.perf_counter() - start < 0.1
     assert got is not None and plain is not None
     assert is_conflict_free(h, got) == [] and got.palette <= 3
     assert calls[0] <= 2 * cycle + 1
+    assert _parts(searches[0]) <= h.n
     assert cf_colorable(h, 2) is None  # the odd cycle
 
 
@@ -394,8 +492,6 @@ def test_hyper_combs_stay_linear(monkeypatch, cycle, diamonds, wide):
 def test_parts_bound_hands_parts_to_the_kernel(monkeypatch, per_vertex):
     # past the bound on parts a part is searched whole; the answers and
     # witnesses stay exact
-    from cfhyper import exact_cf
-
     monkeypatch.setattr(exact_cf, "_PARTS_PER_VERTEX", per_vertex)
     rng = random.Random(2024)
     for _ in range(200):

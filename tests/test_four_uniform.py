@@ -194,8 +194,8 @@ def test_color_4uniform_multi_degree():
 
 
 def test_color_4uniform_matches_golden_digest():
-    # recorded from the earlier code, in which color_4uniform and the peel
-    # renumbered components and survivors with helpers of their own
+    # the palettes were recorded before max degree <= 2 went to the exact
+    # oracle, the colorings after
     rng = random.Random(1414)
     digest, palettes = hashlib.sha256(), hashlib.sha256()
     for _ in range(200):
@@ -209,7 +209,7 @@ def test_color_4uniform_matches_golden_digest():
     assert palettes.hexdigest() == (
         "eb2ccf1f11aba316559f02edd1ee28df546707e5b37854342301d6e530dcb02b")
     assert digest.hexdigest() == (
-        "9b805716e5b74b28e07b1505af2f9a175628e6e2da3e8eb9b8ca82929dd39f9b")
+        "dfd4cfad9f21df29594f2776a77ff3c579b5420ca996ac3028a8c509ca8ac2e1")
 
 
 def test_color_4uniform_disjoint_edges():
@@ -256,6 +256,20 @@ def test_characterize_nonregular_two_colors():
     res = characterize_4uniform(h)
     assert res.chi_cf == 2
     assert is_conflict_free(h, res.coloring) == []
+
+
+def test_characterize_raises_when_the_guarantee_fails(monkeypatch):
+    # a non-regular input of max degree 2 always 2-colors; an oracle that
+    # says otherwise is a bug, not an answer
+    import cfhyper.four_uniform as fu
+    from cfhyper import ChiCfResult, Coloring
+
+    h = Hypergraph.from_edges(9, [(1, 4, 5, 2), (2, 6, 7, 3), (3, 8, 9, 1)])
+    monkeypatch.setattr(fu, "chi_cf_exact", lambda h: ChiCfResult(
+        3, Coloring(tuple([1, 2, 3] * 3)), 0))
+    with pytest.raises(fu.AnomalyError):
+        characterize_4uniform(h)
+    assert characterize_4uniform(dual(complete_graph(5))).chi_cf == 3
 
 
 def test_characterize_agrees_with_oracle():
