@@ -6,12 +6,13 @@
  * this file and calls it through ctypes. No Python headers are involved.
  * For the searches the caller guarantees every vertex id is in [0, n),
  * every allowed degree of a vertex v is in [0, deg(v)] and 0 <= k <= n;
- * their return codes below 0 mean an allocation failed.
+ * their return codes below 0 mean an allocation failed. The edge passes
+ * (cfh_scan, cfh_incidence) check every index they read themselves.
  */
 #include <stdlib.h>
 
-enum { FOUND = 0, UNSAT = 1, BUDGET = 2, NOMEM = -1 };
-enum { VAL_IN = 1, VAL_OUT = 2, MODE_PROPER = 1 };
+enum { FOUND = 0, UNSAT = 1, BUDGET = 2, NOMEM = -1, BADINPUT = -2 };
+enum { VAL_IN = 1, VAL_OUT = 2, MODE_PROPER = 1, MODE_CONFLICT_FREE = 0 };
 
 typedef struct {
     const int *eu, *ev;
@@ -198,6 +199,35 @@ static int edge_ok(const int *first, const int *last, const int *colors, int *cn
     return ok;
 }
 
+/* whether edge e < m lies in ids (nids), each of its ids in [0, n) */
+static int edge_in_range(int e, int m, const int *ends, int nids, const int *ids, int n) {
+    int j;
+    if (e < 0 || e >= m || ends[e] < 0 || ends[e] > ends[e + 1] || ends[e + 1] > nids)
+        return 0;
+    for (j = ends[e]; j < ends[e + 1]; j++)
+        if (ids[j] < 0 || ids[j] >= n) return 0;
+    return 1;
+}
+
+/* See cfhyper._kernels_py.incidence: a counting sort, vertex v's edges
+ * going to vedges[vptr[v] .. vptr[v + 1]); vedges has room for ends[m] -
+ * ends[0]. Returns 0, or BADINPUT for an edge or id out of range. */
+int cfh_incidence(int n, int m, const int *ends, int nids, const int *ids, int *vptr,
+                  int *vedges) {
+    int e, j, v;
+    for (e = 0; e < m; e++)
+        if (!edge_in_range(e, m, ends, nids, ids, n)) return BADINPUT;
+    for (v = 0; v <= n; v++) vptr[v] = 0;
+    for (j = m ? ends[0] : 0; j < (m ? ends[m] : 0); j++) vptr[ids[j] + 1]++;
+    for (v = 0; v < n; v++) vptr[v + 1] += vptr[v];
+    /* vptr[v] is v's fill cursor, so afterwards it holds v + 1's offset */
+    for (e = 0; e < m; e++)
+        for (j = ends[e]; j < ends[e + 1]; j++) vedges[vptr[ids[j]]++] = e;
+    for (v = n; v > 0; v--) vptr[v] = vptr[v - 1];
+    vptr[0] = 0;
+    return 0;
+}
+
 /* See cfhyper._kernels_py.color_search. data holds eptr (m + 1), everts
  * (eptr[m]) and n zeroed colors; edge i is everts[eptr[i] .. eptr[i + 1]).
  * Returns 1 with the coloring in place, 0 when none exists, or NOMEM. */
@@ -205,7 +235,7 @@ int cfh_color(int n, int m, int k, int mode, int *data, long long *nodes) {
     const int *eptr = data, *everts = data + m + 1;
     int total = eptr[m], *colors = data + m + 1 + total, found, i, j, v, c, e, limit, ok;
     int first, last;
-    int *vptr, *vinc, *vfill, *uncolored, *attempt, *maxused, *cnt;
+    int *vptr, *vinc, *uncolored, *attempt, *maxused, *cnt;
 
     *nodes = 0;
     if (n == 0) return 1;
@@ -213,24 +243,16 @@ int cfh_color(int n, int m, int k, int mode, int *data, long long *nodes) {
      * not alias: this search ran about 10% faster than with the arrays
      * carved out of one block */
     vptr = calloc(n + 1, sizeof(int));
-    vfill = calloc(n, sizeof(int));
     attempt = calloc(n, sizeof(int));
     maxused = calloc(n + 1, sizeof(int));
     cnt = calloc(k + 2, sizeof(int));
     uncolored = calloc(m + 1, sizeof(int));
     vinc = calloc(total + 1, sizeof(int));
     found = NOMEM;
-    if (!vptr || !vfill || !attempt || !maxused || !cnt || !uncolored || !vinc) goto done;
+    if (!vptr || !attempt || !maxused || !cnt || !uncolored || !vinc) goto done;
 
-    for (j = 0; j < total; j++) vfill[everts[j]]++;
-    for (v = 0; v < n; v++) {
-        vptr[v + 1] = vptr[v] + vfill[v];
-        vfill[v] = vptr[v];
-    }
-    for (i = 0; i < m; i++) {
-        uncolored[i] = eptr[i + 1] - eptr[i];
-        for (j = eptr[i]; j < eptr[i + 1]; j++) vinc[vfill[everts[j]]++] = i;
-    }
+    cfh_incidence(n, m, eptr, total, everts, vptr, vinc);
+    for (i = 0; i < m; i++) uncolored[i] = eptr[i + 1] - eptr[i];
 
     /* loop bounds live in locals: the int arrays written in the loops
      * could alias vptr as far as the compiler knows */
@@ -273,13 +295,37 @@ int cfh_color(int n, int m, int k, int mode, int *data, long long *nodes) {
     }
 done:
     free(vptr);
-    free(vfill);
     free(attempt);
     free(maxused);
     free(cnt);
     free(uncolored);
     free(vinc);
     return found;
+}
+
+/* See cfhyper._kernels_py.scan_edges; colors are in [0, nc) and cnt holds
+ * nc zeros. The edges among which[0 .. nwhich), all when nwhich < 0, that
+ * fail go to out. Returns how many did, or BADINPUT for an edge or id out
+ * of range. */
+int cfh_scan(int m, const int *ends, int nids, const int *ids, int nc, const int *colors,
+             int mode, int t, int nwhich, const int *which, int *cnt, int *out) {
+    int i, e, distinct, failed = 0;
+    const int *first, *last, *p;
+    for (i = 0; i < (nwhich < 0 ? m : nwhich); i++) {
+        e = nwhich < 0 ? i : which[i];
+        if (!edge_in_range(e, m, ends, nids, ids, nc)) return BADINPUT;
+        first = ids + ends[e];
+        last = ids + ends[e + 1];
+        if (mode == MODE_CONFLICT_FREE) {
+            if (!edge_ok(first, last, colors, cnt, mode)) out[failed++] = e;
+            continue;
+        }
+        for (p = first, distinct = 0; p < last && distinct <= t; p++)
+            distinct += cnt[colors[*p]]++ == 0;
+        for (p = first; p < last; p++) cnt[colors[*p]] = 0;
+        if (distinct <= t) out[failed++] = e;
+    }
+    return failed;
 }
 
 static int cmp_int(const void *a, const void *b) {

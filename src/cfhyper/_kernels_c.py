@@ -1,6 +1,6 @@
 """Compiled kernels: _kernels_c.c, called through ctypes.
 
-Same search API, constants and search trees as cfhyper._kernels_py, plus
+Same API, constants and search trees as cfhyper._kernels_py, plus
 parse_edges, a parser of hypergraph edge lines that declines all but
 plain input (cfhyper.graph_io's parser is its reference). Importing
 this module loads the C file's build from a per-user cache,
@@ -14,10 +14,12 @@ OSError when no build can be had; cfhyper.kernels then falls back to the
 pure backend.
 
 The wrappers check what the C code trusts: array lengths and vertex ids
-in [0, n). Each allowed-degree set is clipped to 0..deg(v), the only
-degrees a search can meet, and numbers the search cannot tell from a
-smaller one (a budget past 2**63 - 1, more colors than vertices) are
-clamped, so results match the pure backend for every input.
+in [0, n); the edge passes check the indices they read in C. Each
+allowed-degree set is clipped to 0..deg(v), the only degrees a search
+can meet, and numbers the search cannot tell from a smaller one (a
+budget past 2**63 - 1, more colors than vertices) are clamped, so
+results match the pure backend for every input. No memory is sized by
+a color value: scan_edges renumbers colors densely past len(colors) - 1.
 """
 
 import ctypes
@@ -28,7 +30,7 @@ from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._kernels_py import BUDGET, CONFLICT_FREE, FOUND, PROPER, UNSAT  # noqa: F401
+from ._kernels_py import BUDGET, CONFLICT_FREE, FEW_COLORS, FOUND, PROPER, UNSAT  # noqa: F401
 
 BACKEND_NAME = "compiled"
 
@@ -69,13 +71,16 @@ def _build(target: Path) -> None:
 
 
 def _bind(path: str | Path) -> ctypes.CDLL:
-    """Load a build of _kernels_c.c and declare its three entry points."""
+    """Load a build of _kernels_c.c and declare its five entry points."""
     lib = ctypes.CDLL(str(path))
     i, ll, p = ctypes.c_int, ctypes.c_longlong, ctypes.c_void_p
     lib.cfh_solve.argtypes = [i, i, p, ll, p]
     lib.cfh_color.argtypes = [i, i, i, i, p, p]
     lib.cfh_parse.argtypes = [ctypes.c_char_p, ll, i, i, i, p, p]
-    lib.cfh_solve.restype = lib.cfh_color.restype = lib.cfh_parse.restype = i
+    lib.cfh_scan.argtypes = [i, p, i, p, i, p, i, i, i, p, p, p]
+    lib.cfh_incidence.argtypes = [i, i, p, i, p, p, p]
+    for fn in (lib.cfh_solve, lib.cfh_color, lib.cfh_parse, lib.cfh_scan, lib.cfh_incidence):
+        fn.restype = i
     return lib
 
 
@@ -159,3 +164,49 @@ def parse_edges(body: bytes, n: int, m: int) -> tuple[array, array] | None:
         return None
     del ids[total:]
     return ends, ids
+
+
+def _int_array(values: Iterable[int]) -> array:
+    """``values`` as a C int array, itself when it already is one."""
+    return values if isinstance(values, array) and values.typecode == "i" else array("i", values)
+
+
+def flatten(edges: Sequence[Sequence[int]]) -> tuple[array, array]:
+    """The layout the edge passes read here: C int arrays (ends, ids), edge e
+    being ids[ends[e]:ends[e + 1]], as parse_edges also returns them."""
+    return (array("i", [0, *accumulate(map(len, edges))]),
+            array("i", list(chain.from_iterable(edges))))
+
+
+def scan_edges(flat: tuple[Sequence[int], Sequence[int]], colors: Sequence[int], mode: int,
+               t: int, which: Iterable[int] | None = None) -> list[int]:
+    """See cfhyper._kernels_py.scan_edges."""
+    ends, ids = flat
+    ends, ids, picked = _int_array(ends or [0]), _int_array(ids), _int_array(which or ())
+    if colors and (min(colors) < 0 or max(colors) >= len(colors)):  # only equality matters
+        rank = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+        colors = [rank[c] for c in colors]
+    colors = _int_array(colors)
+    nwhich = -1 if which is None else len(picked)
+    cnt = array("i", [0]) * len(colors)
+    out = array("i", [0]) * (len(ends) - 1 if which is None else nwhich)
+    failed = _lib.cfh_scan(
+        len(ends) - 1, ends.buffer_info()[0], len(ids), ids.buffer_info()[0], len(colors),
+        colors.buffer_info()[0], int(mode != CONFLICT_FREE), max(-1, min(t, _INT_MAX)),
+        nwhich, picked.buffer_info()[0], cnt.buffer_info()[0], out.buffer_info()[0])
+    if failed < 0:
+        raise ValueError("scan_edges: an edge or vertex id out of range")
+    return out[:failed].tolist()
+
+
+def incidence(n: int, flat: tuple[Sequence[int], Sequence[int]]) -> tuple[array, array]:
+    """See cfhyper._kernels_py.incidence."""
+    ends, ids = flat
+    ends, ids = _int_array(ends or [0]), _int_array(ids)
+    if not 0 <= n < _INT_MAX:
+        raise ValueError(f"vertex count {n} outside 0..{_INT_MAX - 1}")
+    vptr, vedges = array("i", [0]) * (n + 1), array("i", [0]) * max(0, ends[-1] - ends[0])
+    if _lib.cfh_incidence(n, len(ends) - 1, ends.buffer_info()[0], len(ids),
+                          ids.buffer_info()[0], vptr.buffer_info()[0], vedges.buffer_info()[0]):
+        raise ValueError("incidence: an edge or vertex id out of range")
+    return vptr, vedges

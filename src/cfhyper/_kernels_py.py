@@ -1,4 +1,4 @@
-"""Pure-Python search kernels: the portable reference implementation.
+"""Pure-Python kernels: the portable reference implementation.
 
 Two exhaustive searches live here because they dominate the toolkit's
 runtime: degree-constrained edge selection (factor search inside one
@@ -6,11 +6,15 @@ biconnected block) and backtracking k-colorability (conflict-free or
 proper). cfhyper.kernels picks this module or its compiled twin at import
 time; both must explore the identical search tree so that verdicts,
 witnesses, and node counts agree exactly.
+The edge passes of cfhyper.verify and cfhyper.lll, scan_edges and
+incidence, follow them; here they loop over the edge tuples as they are.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import Counter
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Sequence
 
 BACKEND_NAME = "pure"
 
@@ -19,9 +23,10 @@ FOUND = 0
 UNSAT = 1
 BUDGET = 2
 
-# color_search modes
+# color_search modes; scan_edges takes CONFLICT_FREE and FEW_COLORS
 CONFLICT_FREE = 0
 PROPER = 1
+FEW_COLORS = 2
 
 
 def solve_degree_constrained(
@@ -269,3 +274,36 @@ def color_search(
                 return (None, nodes)
             v -= 1
             unplace(v)
+
+
+def counter(colors: list[int]) -> Callable[[int], int]:
+    """Occurrences of a color in ``colors``; list.count is quadratic, so only up to 16."""
+    return colors.count if len(colors) <= 16 else Counter(colors).__getitem__
+
+
+def flatten(edges: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """The layout the edge passes read: here the edges as they are."""
+    return edges
+
+
+def scan_edges(flat: Sequence[Sequence[int]], colors: Sequence[int], mode: int, t: int,
+               which: Iterable[int] | None = None) -> list[int]:
+    """The edges e among ``which`` (all by default, in its order) of ``flat``,
+    flatten()'s layout of an edge list, that fail a coloring test, vertex v
+    having color colors[v]: no color occurs once in the edge (CONFLICT_FREE)
+    or at most t distinct colors do (FEW_COLORS)."""
+    if which is None:
+        which = range(len(flat))
+    if mode == CONFLICT_FREE:
+        return [e for e in which if 1 not in map(counter(cs := [colors[v] for v in flat[e]]), cs)]
+    return [e for e in which if len({colors[v] for v in flat[e]}) <= t]
+
+
+def incidence(n: int, flat: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """(vptr, vedges) of the edges in ``flat``, flatten()'s layout, their ids
+    in 0..n-1: vertex v lies in the edges vedges[vptr[v]:vptr[v + 1]], ascending."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for e, edge in enumerate(flat):
+        for v in edge:
+            rows[v].append(e)
+    return [0, *accumulate(map(len, rows))], list(chain.from_iterable(rows))

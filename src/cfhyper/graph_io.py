@@ -15,11 +15,13 @@ The Python parsers here are the reference and raise every ParseError and
 HypergraphError. On the compiled backend load_hypergraph first offers the
 file to kernels.parse_edges, which returns the same edges or declines; it
 never rejects a file, so a declined file is read here as if it had not
-been offered.
+been offered. An accepted file's hypergraph keeps the parser's arrays as
+its ``flat`` and skips the model's edge check, which they passed already.
 """
 
 from __future__ import annotations
 
+import gc
 from itertools import pairwise
 from typing import Callable
 
@@ -133,7 +135,15 @@ def _load_compiled(data: str | bytes) -> Hypergraph | None:
     ends, ids = parsed
     del data, body  # freed before the edge tuples are built
     flat = ids.tolist()
-    return Hypergraph(n, tuple(tuple(flat[i:j]) for i, j in pairwise(ends)))
+    # the tuples hold no cycles, so the cyclic collector would only rescan them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        edges = tuple(tuple(flat[i:j]) for i, j in pairwise(ends))
+    finally:
+        if enabled:
+            gc.enable()
+    return Hypergraph._trusted(n, edges, parsed)  # cfh_parse checked every edge
 
 
 def load_hypergraph(data: str | bytes) -> Hypergraph:

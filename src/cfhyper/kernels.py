@@ -10,7 +10,12 @@ build, or CFHYPER_BACKEND=compiled to require the compiled one; the
 latter raises ImportError stating why it is unavailable. Any other
 nonempty value fails the import too. Both backends explore identical
 search trees; tests assert verdict-, witness-, and node-count-level
-agreement.
+agreement. Both also have the edge passes that cfhyper.verify and
+cfhyper.lll run, scan_edges and incidence, with equal results. They read
+edges in the layout their backend's flatten() gives, which
+Hypergraph.flat caches: C int arrays (ends, ids) on the compiled
+backend, the edge tuples themselves on the pure one, whose loops run
+fastest over them.
 
 The compiled backend also has parse_edges, which cfhyper.graph_io offers
 hypergraph files before its own parser. On the pure backend it is None
@@ -24,7 +29,8 @@ import os
 from types import ModuleType
 
 from . import _kernels_py
-from ._kernels_py import BUDGET, CONFLICT_FREE, FOUND, PROPER, UNSAT  # noqa: F401 (shared codes)
+from ._kernels_py import (  # noqa: F401 (shared codes)
+    BUDGET, CONFLICT_FREE, FEW_COLORS, FOUND, PROPER, UNSAT)
 
 
 @functools.cache
@@ -53,6 +59,9 @@ else:
 
 solve_degree_constrained = _impl.solve_degree_constrained
 color_search = _impl.color_search
+flatten = _impl.flatten
+scan_edges = _impl.scan_edges
+incidence = _impl.incidence
 parse_edges = getattr(_impl, "parse_edges", None)
 
 

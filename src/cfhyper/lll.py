@@ -12,7 +12,9 @@ each round: a heap holding every violated edge index, plus stale ones that
 are dropped on reaching the top. A resample can change only the edges
 through the recolored vertices, so only those are checked again. The
 rounds and colorings are those of the full rescan, and the incidence is
-built only once some edge is violated.
+built only once some edge is violated. Each check is a kernels.scan_edges
+pass: over all edges first, then per round over the recolored vertices'
+edges, which kernels.incidence lists.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
+from . import kernels
 from .model import Hypergraph, HypergraphError
 from .verify import Coloring
 
@@ -79,28 +83,25 @@ def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     k = params.k
     colors = [0] + [rng.randint(1, k) for _ in range(h.n)]
     edges = h.edges
-
-    def violated(idx: int) -> bool:
-        return len({colors[v] for v in edges[idx - 1]}) <= threshold
-
-    # ascending, hence already a heap; `queued` mirrors its contents
-    worklist = [idx for idx in range(1, h.m + 1) if violated(idx)]
+    # violated(which): the edges among which (all by default) at or below the threshold
+    violated = partial(kernels.scan_edges, h.flat, colors, kernels.FEW_COLORS, threshold)
+    # 0-based edges, ascending, hence already a heap; `queued` mirrors its contents
+    worklist = violated()
     queued = set(worklist)
-    incident = h.incident_edges() if worklist else []
+    vptr, vedges = kernels.incidence(h.n + 1, h.flat) if worklist else ([], [])
     rounds = 0
     while worklist:
-        idx = heapq.heappop(worklist)
-        queued.discard(idx)
-        if not violated(idx):
+        e = heapq.heappop(worklist)
+        queued.discard(e)
+        bad = edges[e]
+        if len({colors[v] for v in bad}) > threshold:  # stale: fixed since queued
             continue
         rounds += 1
         if rounds > params.max_rounds:
             return None
-        bad = edges[idx - 1]
         for v in bad:
             colors[v] = rng.randint(1, k)
-        for f in {f for v in bad for f in incident[v]} - queued:
-            if violated(f):
-                queued.add(f)
-                heapq.heappush(worklist, f)
+        for f in violated({f for v in bad for f in vedges[vptr[v]:vptr[v + 1]]} - queued):
+            queued.add(f)
+            heapq.heappush(worklist, f)
     return Coloring(tuple(colors[1:]))

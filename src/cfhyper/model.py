@@ -13,6 +13,8 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, NoReturn, Sequence
 
+from . import kernels
+
 
 class HypergraphError(ValueError):
     """Raised when data violates a structural invariant of the model."""
@@ -27,11 +29,11 @@ class Hypergraph:
     the edge list.
 
     The statistics ``max_degree``, ``uniform_r``, ``regular_a``,
-    ``connected`` and ``max_edge_degree`` (see HypergraphStats) and the
-    ``components`` behind ``connected`` are lazy: each is computed on first
-    read and cached outside the dataclass fields, so equality and hashing
-    ignore it. A Hypergraph is immutable, so the cache cannot go stale.
-    ``max_edge_degree`` costs by far the most.
+    ``connected`` and ``max_edge_degree`` (see HypergraphStats), the
+    ``components`` behind ``connected`` and the ``flat`` edge layout are
+    lazy: each is computed on first read and cached outside the dataclass
+    fields, so equality and hashing ignore it. A Hypergraph is immutable,
+    so the cache cannot go stale. ``max_edge_degree`` costs by far the most.
     """
 
     n: int
@@ -53,6 +55,14 @@ class Hypergraph:
                 if edge and prev <= n:
                     continue
             _reject_edge(idx, edge, n)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...],
+                 flat: Sequence[Sequence[int]]) -> "Hypergraph":
+        """A hypergraph whose edges were checked already, with its ``flat``."""
+        h = object.__new__(cls)
+        h.__dict__.update(n=n, edges=edges, flat=flat)  # frozen: no __setattr__
+        return h
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Hypergraph":
@@ -78,13 +88,18 @@ class Hypergraph:
         return deg[1:]
 
     @cached_property
+    def flat(self) -> Sequence[Sequence[int]]:
+        """The edges as kernels.flatten lays them out for the edge passes."""
+        return kernels.flatten(self.edges)
+
+    @cached_property
     def max_degree(self) -> int:
         return max(self.vertex_degrees(), default=0)
 
     @cached_property
     def uniform_r(self) -> int | None:
         """The common edge size; None when sizes differ or m == 0."""
-        sizes = {len(e) for e in self.edges}
+        sizes = set(map(len, self.edges))
         return sizes.pop() if len(sizes) == 1 else None
 
     @cached_property

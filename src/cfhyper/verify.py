@@ -5,14 +5,17 @@ exactly once inside that edge, proper when no edge is monochromatic, and
 satisfies the strong condition when every edge of an r-uniform hypergraph
 carries more than r/2 distinct colors (which forces a uniquely colored
 vertex by pigeonhole).
+
+Each checker is one kernels.scan_edges pass over the hypergraph's
+``flat`` edges; the pure backend's scan_edges is the per-edge reference.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
+from . import kernels
+from ._kernels_py import counter
 from .model import Hypergraph, HypergraphError
 
 
@@ -42,9 +45,10 @@ def _check_lengths(h: Hypergraph, c: Coloring) -> None:
             f"coloring has {len(c.colors)} entries for {h.n} vertices")
 
 
-def _counter(colors: list[int]) -> Callable[[int], int]:
-    """Occurrences of a color in ``colors``; list.count is quadratic, so only up to 16."""
-    return colors.count if len(colors) <= 16 else Counter(colors).__getitem__
+def _failing(h: Hypergraph, c: Coloring, mode: int, t: int) -> list[int]:
+    """The 1-based indices of the edges that fail kernels.scan_edges' test."""
+    _check_lengths(h, c)
+    return [e + 1 for e in kernels.scan_edges(h.flat, (0, *c.colors), mode, t)]
 
 
 def unique_color_witness(h: Hypergraph, c: Coloring, edge_index: int) -> int | None:
@@ -52,7 +56,7 @@ def unique_color_witness(h: Hypergraph, c: Coloring, edge_index: int) -> int | N
     _check_lengths(h, c)
     edge = h.edge(edge_index)
     colors = [c.colors[v - 1] for v in edge]
-    counts = list(map(_counter(colors), colors))  # edges are sorted: first is smallest
+    counts = list(map(counter(colors), colors))  # edges are sorted: first is smallest
     return edge[counts.index(1)] if 1 in counts else None
 
 
@@ -61,25 +65,12 @@ def is_conflict_free(h: Hypergraph, c: Coloring) -> list[int]:
 
     An empty list means the coloring is conflict-free.
     """
-    _check_lengths(h, c)
-    color = c.colors
-    bad = []
-    for idx, edge in enumerate(h.edges, start=1):
-        colors = [color[v - 1] for v in edge]
-        if 1 not in map(_counter(colors), colors):
-            bad.append(idx)
-    return bad
+    return _failing(h, c, kernels.CONFLICT_FREE, 0)
 
 
 def is_proper(h: Hypergraph, c: Coloring) -> list[int]:
     """Return the sorted indices of monochromatic edges (size-1 edges always are)."""
-    _check_lengths(h, c)
-    bad = []
-    for idx, edge in enumerate(h.edges, start=1):
-        first = c.colors[edge[0] - 1]
-        if all(c.colors[v - 1] == first for v in edge):
-            bad.append(idx)
-    return bad
+    return _failing(h, c, kernels.FEW_COLORS, 1)
 
 
 def strong_condition(h: Hypergraph, c: Coloring) -> list[int]:
@@ -92,10 +83,4 @@ def strong_condition(h: Hypergraph, c: Coloring) -> list[int]:
     _check_lengths(h, c)
     if h.m and h.uniform_r is None:
         raise HypergraphError("strong condition requires a uniform hypergraph")
-    bad = []
-    for idx, edge in enumerate(h.edges, start=1):
-        r = len(edge)
-        distinct = len({c.colors[v - 1] for v in edge})
-        if 2 * distinct <= r:
-            bad.append(idx)
-    return bad
+    return _failing(h, c, kernels.FEW_COLORS, (h.uniform_r or 0) // 2)

@@ -28,6 +28,24 @@ def random_uniform_hypergraph(
     return Hypergraph.from_edges(n, edges)
 
 
+def capped_8uniform(rng: random.Random, n: int = 2000, m: int = 24000,
+                    cap: int = 100) -> Hypergraph:
+    """Up to m random 8-subsets of 1..n, no vertex in more than cap of them:
+    the instances of perfbench's lll8 workload, before relabelling."""
+    deg = [0] * (n + 1)
+    edges = []
+    available = list(range(1, n + 1))
+    while len(edges) < m and len(available) >= 8:
+        pick = rng.sample(available, 8)
+        if any(deg[v] >= cap for v in pick):
+            available = [v for v in available if deg[v] < cap]
+            continue
+        for v in pick:
+            deg[v] += 1
+        edges.append(tuple(sorted(pick)))
+    return Hypergraph.from_edges(n, edges)
+
+
 def largest_component(h: Hypergraph) -> Hypergraph:
     """The sub-hypergraph induced by the component with the most vertices."""
     best_comp = max(h.components, key=len, default=())

@@ -41,6 +41,7 @@ from cfhyper.constructions import (
 )
 
 from corpus import (
+    capped_8uniform,
     connected_4uniform_corpus,
     mixed_corpus,
     octahedron,
@@ -168,28 +169,13 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
-def _capped_8uniform(rng, n=2000, m=24000, cap=100):
-    deg = [0] * (n + 1)
-    edges = []
-    available = list(range(1, n + 1))
-    while len(edges) < m and len(available) >= 8:
-        pick = rng.sample(available, 8)
-        if any(deg[v] >= cap for v in pick):
-            available = [v for v in available if deg[v] < cap]
-            continue
-        for v in pick:
-            deg[v] += 1
-        edges.append(tuple(sorted(pick)))
-    return Hypergraph.from_edges(n, edges)
-
-
 def test_criterion_8_randomized_coloring_suite():
     with criterion(8, "randomized coloring at k=75 succeeds on >= 49/50 runs"):
         assert color_bound(8, 100) == 75
         successes = 0
         runs = 0
         for instance_seed in range(5):
-            h = _capped_8uniform(random.Random(1000 + instance_seed))
+            h = capped_8uniform(random.Random(1000 + instance_seed))
             assert h.max_degree <= 100  # keeps 75 at/above the guarantee
             assert h.max_degree >= 80
             for seed in range(10):

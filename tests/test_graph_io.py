@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from cfhyper.constructions import build_g_tr, complete_graph, odd_cycle
 from cfhyper.kernels import available_backends
 from cfhyper.model import Hypergraph
 
+from test_kernels import PARSE_EDGE_CASES
 from test_model import hypergraphs, multi_hypergraphs
 
 COMPILED = available_backends().get("compiled")
@@ -341,3 +343,44 @@ def test_compiled_parser_matches_the_reference(text):
     for data in (text, text.encode(), b"\xef\xbb\xbf" + text.encode()):
         compiled, reference = _compiled_and_reference(data)
         assert compiled == reference
+
+
+def _check_trusted(data):
+    """The compiled load of ``data``, if it accepts it, equals the checked
+    construction, and its flat is its edges flattened."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "parse_edges", COMPILED.parse_edges)
+        h = graph_io._load_compiled(data)
+    if h is not None:
+        assert h == Hypergraph(h.n, h.edges)
+        assert h.flat == COMPILED.flatten(h.edges)
+    return h
+
+
+@needs_compiled
+@pytest.mark.parametrize("case", sorted(PARSE_EDGE_CASES))
+def test_trusted_load_of_parse_edge_cases(case):
+    body, n, m, expected = PARSE_EDGE_CASES[case]
+    h = _check_trusted(b"hypergraph %d %d\n" % (n, m) + body)
+    if h is not None:  # headers past nine digits are left to the reference parser
+        ends, ids = expected
+        assert h.edges == tuple(tuple(ids[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+@needs_compiled
+@given(hypergraph_files())
+def test_trusted_load_of_file_layouts(text):
+    _check_trusted(text)
+
+
+@needs_compiled
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compiled_load_restores_the_collector(monkeypatch, enabled):
+    monkeypatch.setattr(kernels, "parse_edges", COMPILED.parse_edges)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_hypergraph("hypergraph 3 2\n1 2\n2 3\n").m == 2
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -13,10 +13,13 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import cfhyper
-from cfhyper import graph_io, kernels
-from cfhyper.kernels import FOUND, available_backends
+from cfhyper import Coloring, Hypergraph, graph_io, kernels
+from cfhyper.kernels import CONFLICT_FREE, FEW_COLORS, FOUND, available_backends
+
+from test_verify import _counter_reference
 
 BACKENDS = available_backends()
 
@@ -92,6 +95,79 @@ def _random_color_instances(count, seed):
             size = rng.randint(1, min(n, 5))
             edges.append(tuple(sorted(rng.sample(range(n), size))))
         yield n, edges, rng.randint(1, 4), rng.choice([0, 1])
+
+
+def _random_scan_instances(count, seed):
+    """(n, edges, colors, which) for the edge passes: edges of 1 to 6 ids in
+    0..n-1, repeats inside an edge allowed, now and then a 300-id edge,
+    colors from 0 up to 10**30, which None or any edges in any order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice([0, 1, rng.randint(2, 9)])
+        edges = [rng.choices(range(n), k=rng.randint(1, 6))
+                 for _ in range(rng.randint(0, 8) if n else 0)]
+        if rng.random() < 0.05:
+            n = 300
+            edges.insert(rng.randint(0, len(edges)), rng.sample(range(n), n))
+        top = rng.choice([1, 2, 4, n + 1, 2**31, 10**30])
+        colors = [rng.randint(0, top) for _ in range(n)]
+        which = (None if rng.random() < 0.3 or not edges
+                 else rng.choices(range(len(edges)), k=rng.randint(0, 10)))
+        yield n, edges, colors, which
+
+
+def _scan_results(backend, n, edges, colors, which):
+    """Every test of scan_edges on one instance, then its incidence."""
+    flat = backend.flatten(edges)
+    return ([backend.scan_edges(flat, colors, mode, t, which)
+             for mode, t in ((CONFLICT_FREE, 0), (FEW_COLORS, 1), (FEW_COLORS, 3))],
+            [list(a) for a in backend.incidence(n, flat)])
+
+
+@needs_compiled
+def test_edge_passes_agreement():
+    pure, compiled = BACKENDS["pure"], BACKENDS["compiled"]
+    for args in _random_scan_instances(1500, 41):
+        assert _scan_results(pure, *args) == _scan_results(compiled, *args), args
+
+
+@st.composite
+def colored_hypergraphs(draw):
+    """A Hypergraph with a coloring: size-1 and 300-vertex edges, repeated
+    edges, mixed sizes, n or m 0, colors up to 10**30."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 9, 300]))
+    edge = st.lists(st.integers(1, n), min_size=1, max_size=min(n, 6), unique=True)
+    edges = draw(st.lists(edge, max_size=8)) if n else []
+    if n == 300 and draw(st.booleans()):
+        edges.append(range(1, 301))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))  # a repeated edge
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = draw(st.sampled_from([1, 2, 3, 10**30]))
+    return (Hypergraph.from_edges(n, edges),
+            Coloring(tuple(rng.randint(1, top) for _ in range(n))))
+
+
+@given(colored_hypergraphs(), st.randoms(use_true_random=False))
+def test_edge_passes_match_the_counter_reference(case, rng):
+    h, c = case
+    colors = (0, *c.colors)  # vertex ids are 1-based
+    unique_free = [e for e, w in enumerate(_counter_reference(h, c)) if w is None]
+    few = [[e for e, edge in enumerate(h.edges) if len({colors[v] for v in edge}) <= t]
+           for t in (1, 3)]
+    which = [rng.randrange(h.m) for _ in range(rng.randint(0, 2 * h.m))]
+    rows = [[] for _ in range(h.n + 1)]
+    for e, edge in enumerate(h.edges):
+        for v in edge:
+            rows[v].append(e)
+    for backend in BACKENDS.values():
+        flat = backend.flatten(h.edges)
+        assert backend.scan_edges(flat, colors, CONFLICT_FREE, 0) == unique_free
+        assert [backend.scan_edges(flat, colors, FEW_COLORS, t) for t in (1, 3)] == few
+        assert (backend.scan_edges(flat, colors, CONFLICT_FREE, 0, which)
+                == [e for e in which if e in unique_free])
+        vptr, vedges = backend.incidence(h.n + 1, flat)
+        assert [list(vedges[a:b]) for a, b in zip(vptr, vptr[1:])] == rows
 
 
 @needs_compiled
@@ -392,6 +468,15 @@ def test_compiled_clamps_a_huge_palette():
     lambda k: k.solve_degree_constrained(3, [0], [1], [{1}] * 4, 9),
     lambda k: k.color_search(3, [(0, 1), (2, 3)], 2, 0),
     lambda k: k.color_search(3, [(0, -1)], 2, 1),
+    lambda k: k.scan_edges(([0, 2], [0, 3]), [1, 1, 1], 0, 0),
+    lambda k: k.scan_edges(([0, 2], [-1, 0]), [1, 1, 1], 2, 1),
+    lambda k: k.scan_edges(([0, 2], [0, 1]), [1, 1], 0, 0, [1]),
+    lambda k: k.scan_edges(([0, 2], [0, 1]), [1, 1], 0, 0, [-1]),
+    lambda k: k.scan_edges(([0, 3], [0, 1]), [1, 1], 0, 0),
+    lambda k: k.scan_edges(([1, 0], [0, 1]), [1, 1], 0, 0),
+    lambda k: k.incidence(2, ([0, 2], [0, 2])),
+    lambda k: k.incidence(2, ([0, 2, 1], [0, 1])),
+    lambda k: k.incidence(-1, ([0], [])),
 ])
 def test_compiled_rejects_bad_input(call):
     # the C code trusts its arrays; the wrapper must stop these first
@@ -405,7 +490,7 @@ from cfhyper import _kernels_c, _kernels_py
 from test_kernels import (ALLOWED_EDGE_CASES, DEGREE_EDGE_CASES, PARSE_EDGE_CASES,
                           _check_parse, _random_allowed_instances,
                           _random_color_instances, _random_degree_instances,
-                          _random_parse_buffers)
+                          _random_parse_buffers, _random_scan_instances, _scan_results)
 _kernels_c._lib = _kernels_c._bind(sys.argv[1])
 count = 0
 for args in [*DEGREE_EDGE_CASES.values(), *ALLOWED_EDGE_CASES.values(),
@@ -421,6 +506,9 @@ for body, n, m, expected in PARSE_EDGE_CASES.values():
     count += 1
 for args in _random_parse_buffers(1500, 24):
     _check_parse(_kernels_c.parse_edges, *args)
+    count += 1
+for args in _random_scan_instances(1500, 25):
+    assert _scan_results(_kernels_c, *args) == _scan_results(_kernels_py, *args), args
     count += 1
 print(count)
 """
@@ -448,7 +536,7 @@ def test_compiled_kernels_under_sanitizers(tmp_path):
     run = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr[-4000:]
-    assert int(run.stdout) >= 4500
+    assert int(run.stdout) >= 6000
 
 
 def _import_backend(cache, backend="", path=None):

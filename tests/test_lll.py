@@ -1,4 +1,6 @@
+import hashlib
 import random
+import types
 
 import mpmath as mp
 import pytest
@@ -10,11 +12,23 @@ from cfhyper import (
     LLLParams,
     color_bound,
     is_conflict_free,
+    kernels,
+    lll,
     randomized_cf_coloring,
     strong_condition,
 )
+from cfhyper.kernels import available_backends
 
-from corpus import random_uniform_hypergraph
+from corpus import capped_8uniform, random_uniform_hypergraph
+
+
+@pytest.fixture(params=sorted(available_backends()))
+def backend(request, monkeypatch):
+    """Resampling runs on the edge passes of each backend in turn."""
+    chosen = available_backends()[request.param]
+    for name in ("flatten", "scan_edges", "incidence"):
+        monkeypatch.setattr(kernels, name, getattr(chosen, name))
+    return request.param
 
 
 def rescan_coloring(h, params):
@@ -117,7 +131,7 @@ def test_params_validated():
         LLLParams(k=3, max_rounds=0)
 
 
-def test_worklist_matches_rescan_reference():
+def test_worklist_matches_rescan_reference(backend):
     # capped 8-uniform, max degree 100: k=30 needs a dozen or more rounds,
     # k=75 (the guaranteed palette) at most a few, k=12 starts with many
     # violated edges at once
@@ -136,7 +150,7 @@ def test_worklist_matches_rescan_reference():
     assert randomized_cf_coloring(h, params) == rescan_coloring(h, params)[0]
 
 
-def test_worklist_cap_boundary():
+def test_worklist_cap_boundary(backend):
     h = random_uniform_hypergraph(random.Random(8), 400, 8, 100, 5000)
     expected, rounds = rescan_coloring(h, LLLParams(k=30, seed=2))
     assert rounds >= 10
@@ -147,3 +161,32 @@ def test_worklist_cap_boundary():
         h, LLLParams(k=30, seed=2, max_rounds=rounds - 1)) is None
     assert rescan_coloring(
         h, LLLParams(k=30, seed=2, max_rounds=rounds - 1))[0] is None
+
+
+# sha256 of repr([(k, seed, colors or None, randint draws), ...]) in the
+# order below, as the resampling loop returned them before it checked edges
+# through kernels.scan_edges; draws are n plus r per round
+GOLDEN_LLL8_DIGEST = "29faafb1bd6409fd34fe182a0189bbd599eb73b79d0e65dde69d4ae6b22bd54e"
+
+
+def test_lll8_colorings_match_golden_digest(backend, monkeypatch):
+    draws = [0]
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws[0] += 1
+            return super().randint(a, b)
+
+    monkeypatch.setattr(lll, "random", types.SimpleNamespace(Random=CountingRandom))
+    h = capped_8uniform(random.Random(1000))
+    out = []
+    # k=30 takes 71-90 rounds, k=75 (the guaranteed palette) at most one,
+    # k=12 hits the cap
+    for k, seeds, max_rounds in ((30, range(3), 10**6), (75, range(6), 10**6),
+                                 (12, range(2), 100)):
+        for seed in seeds:
+            draws[0] = 0
+            c = randomized_cf_coloring(h, LLLParams(k=k, seed=seed, max_rounds=max_rounds))
+            out.append((k, seed, None if c is None else c.colors, draws[0]))
+    assert [c is None for *_, c, _ in out] == [False] * 9 + [True] * 2
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN_LLL8_DIGEST
