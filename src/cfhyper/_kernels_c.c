@@ -11,7 +11,7 @@
  */
 #include <stdlib.h>
 
-enum { FOUND = 0, UNSAT = 1, BUDGET = 2, NOMEM = -1, BADINPUT = -2 };
+enum { FOUND = 0, UNSAT = 1, BUDGET = 2, NOMEM = -1, BADINPUT = -2, BADCOLOR = -3 };
 enum { VAL_IN = 1, VAL_OUT = 2, MODE_PROPER = 1, MODE_CONFLICT_FREE = 0 };
 
 typedef struct {
@@ -303,10 +303,10 @@ done:
     return found;
 }
 
-/* See cfhyper._kernels_py.scan_edges; colors are in [0, nc) and cnt holds
- * nc zeros. The edges among which[0 .. nwhich), all when nwhich < 0, that
- * fail go to out. Returns how many did, or BADINPUT for an edge or id out
- * of range. */
+/* See cfhyper._kernels_py.scan_edges; cnt holds nc zeros. The edges among
+ * which[0 .. nwhich), all when nwhich < 0, that fail go to out. Returns how
+ * many did, BADINPUT for an edge or id out of range, or BADCOLOR for a
+ * color outside [0, nc), which cnt has no room for. */
 int cfh_scan(int m, const int *ends, int nids, const int *ids, int nc, const int *colors,
              int mode, int t, int nwhich, const int *which, int *cnt, int *out) {
     int i, e, distinct, failed = 0;
@@ -316,6 +316,8 @@ int cfh_scan(int m, const int *ends, int nids, const int *ids, int nc, const int
         if (!edge_in_range(e, m, ends, nids, ids, nc)) return BADINPUT;
         first = ids + ends[e];
         last = ids + ends[e + 1];
+        for (p = first; p < last; p++)
+            if (colors[*p] < 0 || colors[*p] >= nc) return BADCOLOR;
         if (mode == MODE_CONFLICT_FREE) {
             if (!edge_ok(first, last, colors, cnt, mode)) out[failed++] = e;
             continue;

@@ -37,6 +37,7 @@ BACKEND_NAME = "compiled"
 _SOURCE = Path(__file__).with_name("_kernels_c.c")
 _LLONG_MAX = 2**63 - 1
 _INT_MAX = 2**31 - 1
+_BADCOLOR = -3  # cfh_scan read a color it has no counter for
 
 
 def _build(target: Path) -> None:
@@ -183,17 +184,23 @@ def scan_edges(flat: tuple[Sequence[int], Sequence[int]], colors: Sequence[int],
     """See cfhyper._kernels_py.scan_edges."""
     ends, ids = flat
     ends, ids, picked = _int_array(ends or [0]), _int_array(ids), _int_array(which or ())
-    if colors and (min(colors) < 0 or max(colors) >= len(colors)):  # only equality matters
-        rank = {c: i for i, c in enumerate(dict.fromkeys(colors))}
-        colors = [rank[c] for c in colors]
-    colors = _int_array(colors)
     nwhich = -1 if which is None else len(picked)
-    cnt = array("i", [0]) * len(colors)
+    cnt = array("i", [0]) * len(colors)  # an aborted scan leaves it zeroed
     out = array("i", [0]) * (len(ends) - 1 if which is None else nwhich)
-    failed = _lib.cfh_scan(
-        len(ends) - 1, ends.buffer_info()[0], len(ids), ids.buffer_info()[0], len(colors),
-        colors.buffer_info()[0], int(mode != CONFLICT_FREE), max(-1, min(t, _INT_MAX)),
-        nwhich, picked.buffer_info()[0], cnt.buffer_info()[0], out.buffer_info()[0])
+
+    def scan(cs: array) -> int:
+        return _lib.cfh_scan(
+            len(ends) - 1, ends.buffer_info()[0], len(ids), ids.buffer_info()[0], len(cs),
+            cs.buffer_info()[0], int(mode != CONFLICT_FREE), max(-1, min(t, _INT_MAX)),
+            nwhich, picked.buffer_info()[0], cnt.buffer_info()[0], out.buffer_info()[0])
+
+    try:
+        failed = scan(_int_array(colors))
+    except OverflowError:  # a color past C int range
+        failed = _BADCOLOR
+    if failed == _BADCOLOR:  # only equality matters: renumber densely
+        rank = {c: i for i, c in enumerate(dict.fromkeys(colors))}
+        failed = scan(array("i", map(rank.__getitem__, colors)))
     if failed < 0:
         raise ValueError("scan_edges: an edge or vertex id out of range")
     return out[:failed].tolist()

@@ -6,8 +6,9 @@ biconnected block) and backtracking k-colorability (conflict-free or
 proper). cfhyper.kernels picks this module or its compiled twin at import
 time; both must explore the identical search tree so that verdicts,
 witnesses, and node counts agree exactly.
-The edge passes of cfhyper.verify and cfhyper.lll, scan_edges and
-incidence, follow them; here they loop over the edge tuples as they are.
+The edge passes scan_edges and incidence follow them (both searches
+take their vertex-to-edge lists from incidence); here they loop over the
+edge tuples as they are.
 """
 
 from __future__ import annotations
@@ -52,20 +53,8 @@ def solve_degree_constrained(
     ``budget`` branch decisions.
     """
     m = len(eu)
-    deg = [0] * n
-    for i in range(m):
-        deg[eu[i]] += 1
-        deg[ev[i]] += 1
-    vptr = [0] * (n + 1)
-    for v in range(n):
-        vptr[v + 1] = vptr[v] + deg[v]
-    vedges = [0] * (2 * m)
-    fill = vptr[:-1]  # slice copy: running insertion cursors per vertex
-    for i in range(m):
-        vedges[fill[eu[i]]] = i
-        fill[eu[i]] += 1
-        vedges[fill[ev[i]]] = i
-        fill[ev[i]] += 1
+    vptr, vedges = incidence(n, list(zip(eu, ev)))
+    deg = [vptr[v + 1] - vptr[v] for v in range(n)]
 
     # nxt[v][d]: the least allowed degree >= d, or deg(v) + 1 when none is
     nxt = []
@@ -203,10 +192,8 @@ def color_search(
     """
     if n == 0:
         return ([], 0)
-    vinc: list[list[int]] = [[] for _ in range(n)]
-    for i, edge in enumerate(edges):
-        for v in edge:
-            vinc[v].append(i)
+    vptr, vedges = incidence(n, edges)
+    vinc = [vedges[vptr[v]:vptr[v + 1]] for v in range(n)]
     uncolored = [len(e) for e in edges]
     colors = [0] * n
     cnt = [0] * (k + 2)

@@ -175,8 +175,8 @@ def dual_cmd(file: str, output: str) -> int:
 @cli.command()
 @click.option("--a", "a", required=True, type=click.IntRange(min=1))
 @click.option("--b", "b", required=True, type=click.IntRange(min=1))
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="search-node limit")
+@click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
+              show_default=True, help="search-node limit")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def factor(a: int, b: int, budget: int, file: str) -> int:
     """Search an {a,b}-factor; prints a factor file, NONE, or BUDGET."""

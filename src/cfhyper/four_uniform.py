@@ -23,6 +23,7 @@ from .model import (
     Hypergraph,
     HypergraphError,
     _bfs,
+    _incidence_rows,
     _induced,
     primal_adjacency,
     remove_vertices,
@@ -68,11 +69,10 @@ class EliminationOrdering:
 
 
 def _edge_adjacency(h: Hypergraph) -> list[list[int]]:
-    """1-based adjacency between edges sharing at least one vertex: the
-    primal graph of the dual, isolated vertices left out."""
-    incident = h.incident_edges()
-    return primal_adjacency(
-        Hypergraph(h.m, tuple(tuple(inc) for inc in incident[1:] if inc)))
+    """Sorted 1-based adjacency between edges sharing a vertex (entry 0 unused)."""
+    rows = _incidence_rows(h)
+    near = (set().union(*map(rows.__getitem__, edge)) - {e} for e, edge in enumerate(h.edges))
+    return [[], *([f + 1 for f in sorted(fs)] for fs in near)]
 
 
 def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:

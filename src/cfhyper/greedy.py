@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import Hypergraph, HypergraphError, _induced
+from .model import Hypergraph, HypergraphError, _incidence_rows, _induced
 from .verify import Coloring
 
 
@@ -25,19 +25,17 @@ class StronglyIndependentSet:
 
 def maximal_strongly_independent_set(h: Hypergraph) -> StronglyIndependentSet:
     """Greedy maximal strongly independent set, built by ascending vertex id."""
-    members = _greedy_layer(h.m, list(range(1, h.n + 1)), h.incident_edges(),
-                            [True] * (h.m + 1))
+    members = _greedy_layer(list(range(1, h.n + 1)), _incidence_rows(h), [True] * h.m)
     return StronglyIndependentSet(frozenset(members))
 
 
 def _greedy_layer(
-    m: int,
     alive_vertices: list[int],
     incident: list[list[int]],
     alive_edge: list[bool],
 ) -> list[int]:
     """One greedy peel over the still-alive part of the hypergraph."""
-    taken = [0] * (m + 1)  # members already inside each edge
+    taken = [0] * len(alive_edge)  # members already inside each edge
     members = []
     for v in alive_vertices:
         if all(taken[e] == 0 for e in incident[v] if alive_edge[e]):
@@ -53,29 +51,29 @@ def _peel_layers(
 ) -> tuple[list[list[int]], list[int], list[bool]]:
     """Peel strongly independent layers until max degree <= stop_at_degree.
 
-    Returns (layers, surviving vertices, surviving edge flags). Each layer
-    removal also removes every edge incident to the layer; every removed
-    edge contains exactly one layer member, which the fresh layer color
-    then makes uniquely colored.
+    Returns (layers, surviving vertices, surviving flags of edges 1..m
+    after a True at 0). Each layer removal also removes every edge incident
+    to the layer; every removed edge contains exactly one layer member,
+    which the fresh layer color then makes uniquely colored.
     """
-    incident = h.incident_edges()
+    incident = _incidence_rows(h)
     live = [len(edges_at_v) for edges_at_v in incident]  # live edges per vertex
-    alive_edge = [True] * (h.m + 1)
+    alive_edge = [True] * h.m
     alive_vertices = list(range(1, h.n + 1))
     layers: list[list[int]] = []
     # a peeled vertex loses all its edges, so max(live) is over the survivors
     while alive_vertices and max(live) > stop_at_degree:
-        layer = _greedy_layer(h.m, alive_vertices, incident, alive_edge)
+        layer = _greedy_layer(alive_vertices, incident, alive_edge)
         layers.append(layer)
         for v in layer:
             for e in incident[v]:
                 if alive_edge[e]:
                     alive_edge[e] = False
-                    for w in h.edges[e - 1]:
+                    for w in h.edges[e]:
                         live[w] -= 1
         in_layer = set(layer)
         alive_vertices = [v for v in alive_vertices if v not in in_layer]
-    return layers, alive_vertices, alive_edge
+    return layers, alive_vertices, [True, *alive_edge]
 
 
 def greedy_cf_coloring(h: Hypergraph) -> Coloring:

@@ -10,12 +10,12 @@ build, or CFHYPER_BACKEND=compiled to require the compiled one; the
 latter raises ImportError stating why it is unavailable. Any other
 nonempty value fails the import too. Both backends explore identical
 search trees; tests assert verdict-, witness-, and node-count-level
-agreement. Both also have the edge passes that cfhyper.verify and
-cfhyper.lll run, scan_edges and incidence, with equal results. They read
-edges in the layout their backend's flatten() gives, which
-Hypergraph.flat caches: C int arrays (ends, ids) on the compiled
-backend, the edge tuples themselves on the pure one, whose loops run
-fastest over them.
+agreement. Both also have two edge passes with equal results: scan_edges,
+the coloring checks of cfhyper.verify and cfhyper.lll, and incidence, the
+package's one builder of vertex-to-edge lists (Hypergraph.incidence caches
+it). They read edges in the layout their backend's flatten() gives, which
+Hypergraph.flat caches: C int arrays (ends, ids) on the compiled backend,
+the edge tuples themselves on the pure one, whose loops run fastest over them.
 
 The compiled backend also has parse_edges, which cfhyper.graph_io offers
 hypergraph files before its own parser. On the pure backend it is None

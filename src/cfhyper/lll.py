@@ -12,9 +12,9 @@ each round: a heap holding every violated edge index, plus stale ones that
 are dropped on reaching the top. A resample can change only the edges
 through the recolored vertices, so only those are checked again. The
 rounds and colorings are those of the full rescan, and the incidence is
-built only once some edge is violated. Each check is a kernels.scan_edges
+read only once some edge is violated. Each check is a kernels.scan_edges
 pass: over all edges first, then per round over the recolored vertices'
-edges, which kernels.incidence lists.
+edges, which Hypergraph.incidence lists.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import partial
 
@@ -82,13 +83,15 @@ def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     rng = random.Random(params.seed)
     k = params.k
     colors = [0] + [rng.randint(1, k) for _ in range(h.n)]
+    if k < 2**31:  # a C int array spares scan_edges a conversion per call
+        colors = array("i", colors)
     edges = h.edges
     # violated(which): the edges among which (all by default) at or below the threshold
     violated = partial(kernels.scan_edges, h.flat, colors, kernels.FEW_COLORS, threshold)
     # 0-based edges, ascending, hence already a heap; `queued` mirrors its contents
     worklist = violated()
     queued = set(worklist)
-    vptr, vedges = kernels.incidence(h.n + 1, h.flat) if worklist else ([], [])
+    vptr, vedges = h.incidence if worklist else ([], [])
     rounds = 0
     while worklist:
         e = heapq.heappop(worklist)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import or_, sub
 from typing import Iterable, NoReturn, Sequence
 
 from . import kernels
@@ -30,10 +30,10 @@ class Hypergraph:
 
     The statistics ``max_degree``, ``uniform_r``, ``regular_a``,
     ``connected`` and ``max_edge_degree`` (see HypergraphStats), the
-    ``components`` behind ``connected`` and the ``flat`` edge layout are
-    lazy: each is computed on first read and cached outside the dataclass
-    fields, so equality and hashing ignore it. A Hypergraph is immutable,
-    so the cache cannot go stale. ``max_edge_degree`` costs by far the most.
+    ``components`` behind ``connected``, the ``flat`` edge layout and the
+    ``incidence`` are lazy: each is computed on first read and cached outside
+    the dataclass fields, so equality and hashing ignore it. A Hypergraph is
+    immutable, so the cache cannot go stale. ``max_edge_degree`` costs by far the most.
     """
 
     n: int
@@ -81,16 +81,19 @@ class Hypergraph:
 
     def vertex_degrees(self) -> list[int]:
         """Incident-edge count per vertex (parallel edges count separately)."""
-        deg = [0] * (self.n + 1)
-        for edge in self.edges:
-            for v in edge:
-                deg[v] += 1
-        return deg[1:]
+        vptr = self.incidence[0]
+        return list(map(sub, vptr[2:], vptr[1:]))
 
     @cached_property
     def flat(self) -> Sequence[Sequence[int]]:
         """The edges as kernels.flatten lays them out for the edge passes."""
         return kernels.flatten(self.edges)
+
+    @cached_property
+    def incidence(self) -> tuple[Sequence[int], Sequence[int]]:
+        """(vptr, vedges), kernels.incidence of ``flat``, read by every vertex-to-edge
+        lookup: vertex v lies in the 0-based edges vedges[vptr[v]:vptr[v + 1]], ascending."""
+        return kernels.incidence(self.n + 1, self.flat)
 
     @cached_property
     def max_degree(self) -> int:
@@ -146,17 +149,6 @@ class Hypergraph:
         if self.n * self.m <= 512 * sum(map(len, self.edges)):
             return _edge_degree_by_masks(self)
         return _edge_degree_by_sets(self)
-
-    def incident_edges(self) -> list[list[int]]:
-        """For each vertex 1..n, the sorted list of 1-based incident edge indices.
-
-        Entry 0 is a placeholder so the list can be indexed by vertex id.
-        """
-        inc: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for idx, edge in enumerate(self.edges, start=1):
-            for v in edge:
-                inc[v].append(idx)
-        return inc
 
     def is_graph(self) -> bool:
         """True when every edge has exactly two vertices."""
@@ -355,6 +347,14 @@ def _induced(h: Hypergraph, groups: Sequence[Sequence[int]]) -> list[Hypergraph]
     return [Hypergraph(len(group), tuple(es)) for group, es in zip(groups, own)]
 
 
+def _incidence_rows(h: Hypergraph) -> list[list[int]]:
+    """h.incidence as one list per vertex 0..n of its 0-based edges, for
+    loops that read rows again and again (slicing the CSR each time is slower)."""
+    vptr, vedges = h.incidence
+    vedges = list(vedges)
+    return [vedges[a:b] for a, b in zip(vptr, vptr[1:])]
+
+
 def _edge_degree_by_masks(h: Hypergraph) -> int:
     # one mask of incident edges per vertex; an edge's count is the popcount
     # of its vertices' union, minus itself. Each byte row is freed as soon
@@ -374,8 +374,8 @@ def _edge_degree_by_masks(h: Hypergraph) -> int:
 
 
 def _edge_degree_by_sets(h: Hypergraph) -> int:
-    inc = h.incident_edges()
-    return max((len(set().union(*map(inc.__getitem__, e))) for e in h.edges),
+    rows = _incidence_rows(h)
+    return max((len(set().union(*map(rows.__getitem__, e))) for e in h.edges),
                default=1) - 1
 
 
@@ -395,12 +395,13 @@ def dual(h: Hypergraph) -> Hypergraph:
     a-regular r-uniform input yields an r-regular a-uniform output, and
     ``dual(dual(h)) == h`` whenever no vertex is isolated.
     """
-    inc = h.incident_edges()
-    for v in range(1, h.n + 1):
-        if not inc[v]:
-            raise HypergraphError(
-                f"vertex {v} has degree 0; dual would contain an empty edge")
-    return Hypergraph(h.m, tuple(tuple(inc[v]) for v in range(1, h.n + 1)))
+    vptr, vedges = h.incidence
+    ids = [e + 1 for e in vedges]
+    edges = tuple(tuple(ids[a:b]) for a, b in zip(vptr[1:], vptr[2:]))
+    if () in edges:
+        raise HypergraphError(f"vertex {edges.index(()) + 1} has degree 0; "
+                              "dual would contain an empty edge")
+    return Hypergraph(h.m, edges)
 
 
 def remove_vertices(

@@ -9,6 +9,7 @@ import random
 from functools import lru_cache
 
 from cfhyper import Hypergraph
+from cfhyper.model import _induced
 
 
 def random_uniform_hypergraph(
@@ -48,13 +49,7 @@ def capped_8uniform(rng: random.Random, n: int = 2000, m: int = 24000,
 
 def largest_component(h: Hypergraph) -> Hypergraph:
     """The sub-hypergraph induced by the component with the most vertices."""
-    best_comp = max(h.components, key=len, default=())
-    incident = h.incident_edges()
-    best_edges = sorted({e for v in best_comp for e in incident[v]})
-    relabel = {v: i + 1 for i, v in enumerate(best_comp)}
-    return Hypergraph(
-        len(best_comp),
-        tuple(tuple(relabel[v] for v in h.edge(e)) for e in best_edges))
+    return _induced(h, [max(h.components, key=len, default=())])[0]
 
 
 @lru_cache(maxsize=None)

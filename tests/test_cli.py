@@ -400,6 +400,8 @@ def test_palette_below_one_is_a_usage_error(tmp_path, capsys, argv):
     ("factor", "--a", "0", "--b", "2"),
     ("factor", "--a", "2", "--b", "1"),
     ("color", "--algo", "lll", "--max-resamples", "0", "-o", "out.col"),
+    ("factor", "--a", "1", "--b", "2", "--budget", "0"),
+    ("factor", "--a", "1", "--b", "2", "--budget", "-3"),
 ])
 def test_bad_targets_and_round_cap_are_usage_errors(tmp_path, capsys, argv):
     hg = tmp_path / "c4.hg"

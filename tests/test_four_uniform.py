@@ -59,6 +59,14 @@ def test_edge_distance_chain():
     assert edge_distance(h, 5, 1).edges == (5, 4, 3, 2, 1)
 
 
+def test_edge_distance_breaks_ties_lexicographically():
+    # edges 2 and 3 both join edge 1 to edge 4
+    h = Hypergraph.from_edges(
+        10, [(1, 2, 3, 4), (4, 5, 6, 7), (1, 5, 8, 9), (6, 8, 9, 10)])
+    assert edge_distance(h, 1, 4).edges == (1, 2, 4)
+    assert edge_distance(h, 4, 1).edges == (4, 2, 1)
+
+
 def test_edge_distance_unreachable():
     h = Hypergraph.from_edges(8, [(1, 2, 3, 4), (5, 6, 7, 8)])
     assert edge_distance(h, 1, 2) is None

@@ -150,6 +150,15 @@ def test_worklist_matches_rescan_reference(backend):
     assert randomized_cf_coloring(h, params) == rescan_coloring(h, params)[0]
 
 
+def test_palettes_at_the_c_int_bound(backend):
+    # colors are kept in a C int array below 2**31 and in a list from there
+    h = random_uniform_hypergraph(random.Random(9), 60, 6, 5, 40)
+    for k in (2**31 - 1, 2**40):
+        for seed in range(3):
+            params = LLLParams(k=k, seed=seed)
+            assert randomized_cf_coloring(h, params) == rescan_coloring(h, params)[0]
+
+
 def test_worklist_cap_boundary(backend):
     h = random_uniform_hypergraph(random.Random(8), 400, 8, 100, 5000)
     expected, rounds = rescan_coloring(h, LLLParams(k=30, seed=2))

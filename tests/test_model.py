@@ -11,6 +11,8 @@ from cfhyper import (
 )
 from cfhyper import model
 from cfhyper.constructions import build_g_tr, complete_graph
+from cfhyper.graph_io import load_hypergraph, save_hypergraph
+from cfhyper.kernels import available_backends
 
 from corpus import mixed_corpus
 
@@ -73,6 +75,22 @@ def reference_stats(h):
     )
 
 
+def reference_rows(h):
+    """Per vertex 0..n, its 0-based edges, ascending."""
+    return [[e for e, edge in enumerate(h.edges) if v in edge] for v in range(h.n + 1)]
+
+
+def incidence_rows(h):
+    """h.incidence as rows, after checking that every available backend's
+    incidence of h's edges gives the same."""
+    vptr, vedges = h.incidence
+    rows = [list(vedges[a:b]) for a, b in zip(vptr, vptr[1:])]
+    for backend in available_backends().values():
+        vptr, vedges = backend.incidence(h.n + 1, backend.flatten(h.edges))
+        assert [list(vedges[a:b]) for a, b in zip(vptr, vptr[1:])] == rows, backend
+    return rows
+
+
 STAT_NAMES = ("max_degree", "max_edge_degree", "uniform_r", "regular_a",
               "connected")
 
@@ -95,6 +113,11 @@ def test_lazy_stats_match_reference(h):
     # the cache is invisible to equality and hashing
     assert h == Hypergraph(h.n, h.edges)
     assert hash(h) == hash(Hypergraph(h.n, h.edges))
+    # the same from a loaded file, whose flat layout the parser may give
+    parsed = load_hypergraph(save_hypergraph(h))
+    assert stats(parsed) == expected
+    assert parsed.vertex_degrees() == h.vertex_degrees()
+    assert incidence_rows(parsed) == incidence_rows(h) == reference_rows(h)
 
 
 def test_components_match_networkx():
@@ -201,6 +224,11 @@ def test_dual_swaps_sequences(h):
     d = dual(h)
     assert sorted(len(e) for e in d.edges) == sorted(h.vertex_degrees())
     assert sorted(d.vertex_degrees()) == sorted(len(e) for e in h.edges)
+    parsed = load_hypergraph(save_hypergraph(h))
+    assert dual(parsed) == d
+    assert parsed.vertex_degrees() == h.vertex_degrees()
+    assert incidence_rows(parsed) == incidence_rows(h) == reference_rows(h)
+    assert incidence_rows(dual(parsed)) == reference_rows(d)
 
 
 @given(hypergraphs())
