@@ -23,10 +23,12 @@ a color value: scan_edges renumbers colors densely past len(colors) - 1.
 """
 
 import ctypes
+import gc
 import hashlib
 import os
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -177,6 +179,28 @@ def flatten(edges: Sequence[Sequence[int]]) -> tuple[array, array]:
     being ids[ends[e]:ends[e + 1]], as parse_edges also returns them."""
     return (array("i", [0, *accumulate(map(len, edges))]),
             array("i", list(chain.from_iterable(edges))))
+
+
+def unflatten(flat: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """flatten()'s inverse, the edge tuples."""
+    ends, ids = flat[0], flat[1].tolist()
+    enabled = gc.isenabled()
+    gc.disable()  # the tuples hold no cycles: the collector would only rescan them
+    try:
+        return tuple(tuple(ids[i:j]) for i, j in pairwise(ends))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def edge_sizes(flat: tuple[Sequence[int], Sequence[int]]) -> Iterable[int]:
+    """See cfhyper._kernels_py.edge_sizes."""
+    return map(sub, flat[0][1:], flat[0])
+
+
+def edge_at(flat: tuple[Sequence[int], Sequence[int]], e: int) -> tuple[int, ...]:
+    """See cfhyper._kernels_py.edge_at."""
+    return tuple(flat[1][flat[0][e]:flat[0][e + 1]])
 
 
 def scan_edges(flat: tuple[Sequence[int], Sequence[int]], colors: Sequence[int], mode: int,

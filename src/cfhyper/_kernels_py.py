@@ -14,7 +14,9 @@ edge tuples as they are.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import accumulate, chain
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 BACKEND_NAME = "pure"
@@ -271,6 +273,12 @@ def counter(colors: list[int]) -> Callable[[int], int]:
 def flatten(edges: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
     """The layout the edge passes read: here the edges as they are."""
     return edges
+
+
+# flatten()'s inverse, each edge's size in order and the 0-based edge e; here flat is the edges
+unflatten = flatten
+edge_sizes = partial(map, len)
+edge_at = getitem
 
 
 def scan_edges(flat: Sequence[Sequence[int]], colors: Sequence[int], mode: int, t: int,

@@ -242,7 +242,7 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
 def _map_components(h: Hypergraph, solver) -> Coloring:
     """Apply a per-component solver and merge the colorings (shared palette)."""
     colors = [1] * (h.n + 1)
-    for comp, sub in zip(h.components, _induced(h, h.components)):
+    for comp, sub in zip(h.components, _induced(h, h.components) if len(h.components) > 1 else [h]):
         for v, c in zip(comp, solver(sub).colors):
             colors[v] = c
     return Coloring(tuple(colors[1:]))

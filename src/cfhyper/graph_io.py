@@ -15,14 +15,12 @@ The Python parsers here are the reference and raise every ParseError and
 HypergraphError. On the compiled backend load_hypergraph first offers the
 file to kernels.parse_edges, which returns the same edges or declines; it
 never rejects a file, so a declined file is read here as if it had not
-been offered. An accepted file's hypergraph keeps the parser's arrays as
-its ``flat`` and skips the model's edge check, which they passed already.
+been offered. An accepted file's hypergraph keeps the parser's arrays as its
+``flat``, builds edge tuples only when they are read and skips the model's check.
 """
 
 from __future__ import annotations
 
-import gc
-from itertools import pairwise
 from typing import Callable
 
 from . import kernels
@@ -129,21 +127,8 @@ def _load_compiled(data: str | bytes) -> Hypergraph | None:
             f.isdigit() and len(f) < 10 for f in fields):
         return None
     n, m = int(fields[0]), int(fields[1])
-    parsed = kernels.parse_edges(body, n, m)
-    if parsed is None:
-        return None
-    ends, ids = parsed
-    del data, body  # freed before the edge tuples are built
-    flat = ids.tolist()
-    # the tuples hold no cycles, so the cyclic collector would only rescan them
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        edges = tuple(tuple(flat[i:j]) for i, j in pairwise(ends))
-    finally:
-        if enabled:
-            gc.enable()
-    return Hypergraph._trusted(n, edges, parsed)  # cfh_parse checked every edge
+    parsed = kernels.parse_edges(body, n, m)  # cfh_parse checks every edge
+    return None if parsed is None else Hypergraph._trusted(n, m, parsed)
 
 
 def load_hypergraph(data: str | bytes) -> Hypergraph:

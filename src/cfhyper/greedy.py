@@ -107,7 +107,7 @@ def peel_then_solve(
         raise HypergraphError(f"target degree must be >= 0, got {target_degree}")
     layers, kept_vertices, _ = _peel_layers(h, target_degree)
     # an edge survives the peel exactly when all its vertices do
-    rest = _induced(h, [kept_vertices])[0]
+    rest = _induced(h, [kept_vertices])[0] if layers else h
     base_coloring = base(rest)
     allowed = max(target_degree, 1) if rest.n else 0
     if base_coloring.palette > allowed:

@@ -16,6 +16,7 @@ package's one builder of vertex-to-edge lists (Hypergraph.incidence caches
 it). They read edges in the layout their backend's flatten() gives, which
 Hypergraph.flat caches: C int arrays (ends, ids) on the compiled backend,
 the edge tuples themselves on the pure one, whose loops run fastest over them.
+Parsed hypergraphs read it through flatten's inverse unflatten, edge_sizes and edge_at.
 
 The compiled backend also has parse_edges, which cfhyper.graph_io offers
 hypergraph files before its own parser. On the pure backend it is None
@@ -60,6 +61,9 @@ else:
 solve_degree_constrained = _impl.solve_degree_constrained
 color_search = _impl.color_search
 flatten = _impl.flatten
+unflatten = _impl.unflatten
+edge_sizes = _impl.edge_sizes
+edge_at = _impl.edge_at
 scan_edges = _impl.scan_edges
 incidence = _impl.incidence
 parse_edges = getattr(_impl, "parse_edges", None)

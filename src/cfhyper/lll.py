@@ -85,7 +85,6 @@ def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     colors = [0] + [rng.randint(1, k) for _ in range(h.n)]
     if k < 2**31:  # a C int array spares scan_edges a conversion per call
         colors = array("i", colors)
-    edges = h.edges
     # violated(which): the edges among which (all by default) at or below the threshold
     violated = partial(kernels.scan_edges, h.flat, colors, kernels.FEW_COLORS, threshold)
     # 0-based edges, ascending, hence already a heap; `queued` mirrors its contents
@@ -96,7 +95,7 @@ def randomized_cf_coloring(h: Hypergraph, params: LLLParams) -> Coloring | None:
     while worklist:
         e = heapq.heappop(worklist)
         queued.discard(e)
-        bad = edges[e]
+        bad = h.edge(e + 1)
         if len({colors[v] for v in bad}) > threshold:  # stale: fixed since queued
             continue
         rounds += 1

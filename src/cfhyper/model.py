@@ -28,12 +28,12 @@ class Hypergraph:
     edge, and every edge is nonempty. Edge indices are 1-based positions in
     the edge list.
 
-    The statistics ``max_degree``, ``uniform_r``, ``regular_a``,
-    ``connected`` and ``max_edge_degree`` (see HypergraphStats), the
-    ``components`` behind ``connected``, the ``flat`` edge layout and the
-    ``incidence`` are lazy: each is computed on first read and cached outside
-    the dataclass fields, so equality and hashing ignore it. A Hypergraph is
-    immutable, so the cache cannot go stale. ``max_edge_degree`` costs by far the most.
+    ``m``, the statistics ``max_degree``, ``uniform_r``, ``regular_a``,
+    ``connected`` and ``max_edge_degree`` (see HypergraphStats; the last costs
+    by far the most), the ``components`` behind ``connected``, the ``flat``
+    edge layout and the ``incidence`` are lazy: computed on first read, cached
+    outside the fields that equality and hashing compare, and never stale, as
+    a Hypergraph is immutable. So are the ``edges`` of a _trusted Hypergraph.
     """
 
     n: int
@@ -57,11 +57,10 @@ class Hypergraph:
             _reject_edge(idx, edge, n)
 
     @classmethod
-    def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...],
-                 flat: Sequence[Sequence[int]]) -> "Hypergraph":
-        """A hypergraph whose edges were checked already, with its ``flat``."""
+    def _trusted(cls, n: int, m: int, flat: Sequence[Sequence[int]]) -> "Hypergraph":
+        """A hypergraph of m edges, checked already, given by its ``flat``."""
         h = object.__new__(cls)
-        h.__dict__.update(n=n, edges=edges, flat=flat)  # frozen: no __setattr__
+        h.__dict__.update(n=n, m=m, flat=flat)  # frozen: no __setattr__
         return h
 
     @classmethod
@@ -69,7 +68,7 @@ class Hypergraph:
         """Build a hypergraph, sorting each edge on ingest."""
         return cls(n, tuple(tuple(sorted(e)) for e in edges))
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.edges)
 
@@ -77,7 +76,8 @@ class Hypergraph:
         """Return the edge with 1-based ``index``."""
         if not 1 <= index <= self.m:
             raise IndexError(f"edge index {index} outside 1..{self.m}")
-        return self.edges[index - 1]
+        edges = self.__dict__.get("edges")
+        return kernels.edge_at(self.flat, index - 1) if edges is None else edges[index - 1]
 
     def vertex_degrees(self) -> list[int]:
         """Incident-edge count per vertex (parallel edges count separately)."""
@@ -102,7 +102,7 @@ class Hypergraph:
     @cached_property
     def uniform_r(self) -> int | None:
         """The common edge size; None when sizes differ or m == 0."""
-        sizes = set(map(len, self.edges))
+        sizes = set(map(len, self.edges) if "edges" in self.__dict__ else kernels.edge_sizes(self.flat))
         return sizes.pop() if len(sizes) == 1 else None
 
     @cached_property
@@ -153,6 +153,16 @@ class Hypergraph:
     def is_graph(self) -> bool:
         """True when every edge has exactly two vertices."""
         return all(len(e) == 2 for e in self.edges)
+
+
+class _ParsedEdges:
+    """The edges of a _trusted Hypergraph, built from its flat on first read (a
+    __getattr__ instead would slow every attribute read of every Hypergraph)."""
+    def __get__(self, h: Hypergraph | None, owner: type) -> tuple[tuple[int, ...], ...]:
+        return self if h is None else h.__dict__.setdefault("edges", kernels.unflatten(h.flat))
+
+
+Hypergraph.edges = _ParsedEdges()  # not in the body: @dataclass would take it for a default
 
 
 @dataclass(frozen=True)

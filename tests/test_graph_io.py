@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 
@@ -7,24 +9,39 @@ from hypothesis import given, strategies as st
 
 from cfhyper import (
     Coloring,
+    LLLParams,
     ParseError,
+    is_conflict_free,
     load_coloring,
     load_factor,
     load_hypergraph,
+    randomized_cf_coloring,
     save_coloring,
     save_factor,
     save_hypergraph,
+    strong_condition,
 )
 from cfhyper import graph_io, kernels
 from cfhyper.constructions import build_g_tr, complete_graph, odd_cycle
 from cfhyper.kernels import available_backends
 from cfhyper.model import Hypergraph
 
+from corpus import capped_8uniform
 from test_kernels import PARSE_EDGE_CASES
 from test_model import hypergraphs, multi_hypergraphs
 
 COMPILED = available_backends().get("compiled")
 needs_compiled = pytest.mark.skipif(COMPILED is None, reason="compiled kernels not built")
+
+
+def use_compiled_edge_layer(mp):
+    """Take the parser and the readers of its layout from the compiled
+    backend: a compiled load keeps the parser's arrays as its flat and reads
+    its edges from them, so under CFHYPER_BACKEND=pure too they must be read
+    by the backend that laid them out."""
+    for name in ("parse_edges", "flatten", "unflatten", "edge_sizes", "edge_at",
+                 "scan_edges", "incidence"):
+        mp.setattr(kernels, name, getattr(COMPILED, name))
 
 
 def test_load_single_edge():
@@ -303,7 +320,7 @@ def _compiled_and_reference(data):
 @needs_compiled
 @pytest.mark.parametrize("text", DECLINED + ACCEPTED)
 def test_compiled_parser_declines_all_but_plain_ids(text, monkeypatch):
-    monkeypatch.setattr(kernels, "parse_edges", COMPILED.parse_edges)
+    use_compiled_edge_layer(monkeypatch)
     for data in (text, text.encode()):
         h = graph_io._load_compiled(data)
         assert (h is None) == (text in DECLINED)
@@ -340,9 +357,11 @@ def hypergraph_files(draw):
 @needs_compiled
 @given(hypergraph_files())
 def test_compiled_parser_matches_the_reference(text):
-    for data in (text, text.encode(), b"\xef\xbb\xbf" + text.encode()):
-        compiled, reference = _compiled_and_reference(data)
-        assert compiled == reference
+    with pytest.MonkeyPatch.context() as mp:
+        use_compiled_edge_layer(mp)
+        for data in (text, text.encode(), b"\xef\xbb\xbf" + text.encode()):
+            compiled, reference = _compiled_and_reference(data)
+            assert compiled == reference
 
 
 def _check_trusted(data):
@@ -359,7 +378,8 @@ def _check_trusted(data):
 
 @needs_compiled
 @pytest.mark.parametrize("case", sorted(PARSE_EDGE_CASES))
-def test_trusted_load_of_parse_edge_cases(case):
+def test_trusted_load_of_parse_edge_cases(case, monkeypatch):
+    use_compiled_edge_layer(monkeypatch)
     body, n, m, expected = PARSE_EDGE_CASES[case]
     h = _check_trusted(b"hypergraph %d %d\n" % (n, m) + body)
     if h is not None:  # headers past nine digits are left to the reference parser
@@ -370,17 +390,70 @@ def test_trusted_load_of_parse_edge_cases(case):
 @needs_compiled
 @given(hypergraph_files())
 def test_trusted_load_of_file_layouts(text):
-    _check_trusted(text)
+    with pytest.MonkeyPatch.context() as mp:
+        use_compiled_edge_layer(mp)
+        _check_trusted(text)
 
 
 @needs_compiled
 @pytest.mark.parametrize("enabled", [True, False])
 def test_compiled_load_restores_the_collector(monkeypatch, enabled):
-    monkeypatch.setattr(kernels, "parse_edges", COMPILED.parse_edges)
+    use_compiled_edge_layer(monkeypatch)
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        assert load_hypergraph("hypergraph 3 2\n1 2\n2 3\n").m == 2
+        h = load_hypergraph("hypergraph 3 2\n1 2\n2 3\n")
+        assert h.m == 2 and "edges" not in h.__dict__
+        assert h.edges == ((1, 2), (2, 3))  # the edge tuples are built here
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+LAZY_FILES = {
+    "uniform": "hypergraph 5 3\n1 2 3\n2 3 4\n3 4 5\n",
+    "mixed sizes": "hypergraph 6 4\n1 2\n2 4 3\n1 5 6 3\n6\n",
+    "size-1 edges": "hypergraph 3 4\n2\n1\n3\n2\n",
+    "parallel edges": "hypergraph 4 3\n1 2\n2 1\n3 4\n",
+    "no edges": "hypergraph 0 0\n",
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("text", LAZY_FILES.values(), ids=list(LAZY_FILES))
+def test_compiled_load_builds_its_edges_when_read(text, monkeypatch):
+    use_compiled_edge_layer(monkeypatch)
+
+    def lazy():
+        h = load_hypergraph(text)
+        assert "edges" not in h.__dict__
+        return h
+
+    h = lazy()
+    built = Hypergraph(h.n, h.edges)
+    assert "edges" in h.__dict__
+    h = lazy()
+    assert (h.m, h.uniform_r) == (built.m, built.uniform_r)
+    assert [h.edge(i) for i in range(1, h.m + 1)] == list(built.edges)
+    for index in (0, h.m + 1):
+        with pytest.raises(IndexError):
+            h.edge(index)
+    assert not hasattr(h, "nope")
+    assert "edges" not in h.__dict__
+    assert lazy() == built and built == lazy()
+    assert hash(lazy()) == hash(built) and repr(lazy()) == repr(built)
+    for twin in (pickle.loads(pickle.dumps(lazy())), copy.deepcopy(lazy())):
+        assert "edges" not in twin.__dict__
+        assert twin.m == built.m and twin == built and hash(twin) == hash(built)
+
+
+@needs_compiled
+def test_coloring_a_compiled_load_builds_no_edge_tuple(monkeypatch):
+    use_compiled_edge_layer(monkeypatch)
+    built = capped_8uniform(random.Random(1001))
+    h = load_hypergraph(save_hypergraph(built))
+    params = LLLParams(k=30, seed=0)  # 85 resampling rounds
+    c = randomized_cf_coloring(h, params)
+    assert c == randomized_cf_coloring(built, params)
+    assert is_conflict_free(h, c) == [] and strong_condition(h, c) == []
+    assert "edges" not in h.__dict__
