@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: seven subcommands parsed with the standard
+library's argparse, so the package has no runtime dependency.
 
 Exit codes: 0 success/OK, 1 negative mathematical answer (no factor,
 violations found), 2 search budget or resample cap exceeded, 64 usage
@@ -7,10 +8,10 @@ errors, 65 malformed input data, 66 I/O failures.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from pathlib import Path
-
-import click
 
 from . import constructions as cons
 from .exact_cf import chi_cf_exact
@@ -35,15 +36,54 @@ from .model import HypergraphError, VertexRoleMap, dual, stats
 from .verify import is_conflict_free
 
 
-@click.group()
-def cli() -> None:
-    """Conflict-free hypergraph colorings and {a,b}-factor search."""
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
+def _positive(text: str) -> int:
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
+def _output_file(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _input_file(path: str) -> str:
+    if not os.access(path, os.R_OK):
+        what = "is not readable" if os.path.exists(path) else "does not exist"
+        raise argparse.ArgumentTypeError(f"file {path!r} {what}")
+    return _output_file(path)
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_OUTPUT = _arg("-o", "--output", required=True, type=_output_file)
+_FILE = _arg("file", metavar="FILE", type=_input_file)
+_PARSER = _Parser(prog="cfhyper", allow_abbrev=False, description=(
+    "Conflict-free hypergraph colorings and {a,b}-factor search."))
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(name: str, *arguments: tuple):
+    def register(fn):
+        doc = " ".join(fn.__doc__.split())
+        parser = _COMMANDS.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        for flags, options in arguments:
+            parser.add_argument(*flags, **options)
+        parser.set_defaults(command=fn)
+        return fn
+    return register
 
 
 def _echo(message: str, err: bool = False, nl: bool = True) -> None:
-    # click.echo without a file caches a wrapper per sys.stdout that keeps
-    # the stream alive, so in-process callers swapping streams would leak
-    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+    print(message, end="\n" if nl else "", file=sys.stderr if err else None)
 
 
 def _read(path: str) -> bytes:
@@ -60,23 +100,22 @@ def _role_comments(roles: VertexRoleMap) -> str:
         f"# role {v} {r.kind} {r.copy}\n" for v, r in enumerate(roles.roles, start=1))
 
 
-@cli.command()
-@click.option("--construction", "kind", required=True,
-              type=click.Choice(cons.KINDS))
-@click.option("--t", type=int, default=None, help="factor degree parameter")
-@click.option("--r", type=int, default=None, help="regularity / edge size")
-@click.option("--n", type=int, default=None, help="vertex count")
-@click.option("--delta", type=int, default=None, help="maximum degree")
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--roles/--no-roles", default=False,
-              help="emit '# role' comment lines for generated vertex roles")
+@_command("gen",
+          _arg("--construction", dest="kind", required=True, choices=cons.KINDS),
+          _arg("--t", type=int, help="factor degree parameter"),
+          _arg("--r", type=int, help="regularity / edge size"),
+          _arg("--n", type=int, help="vertex count"),
+          _arg("--delta", type=int, help="maximum degree"),
+          _OUTPUT,
+          _arg("--roles", action=argparse.BooleanOptionalAction, default=False,
+               help="emit '# role' comment lines for generated vertex roles"))
 def gen(kind: str, t: int | None, r: int | None, n: int | None,
         delta: int | None, output: str, roles: bool) -> int:
     """Generate a named construction and write it to a hypergraph file."""
 
     def need(value: int | None, flag: str) -> int:
         if value is None:
-            raise click.UsageError(f"--construction {kind} requires {flag}")
+            raise argparse.ArgumentError(None, f"--construction {kind} requires {flag}")
         return value
 
     role_map = VertexRoleMap()
@@ -105,17 +144,16 @@ def gen(kind: str, t: int | None, r: int | None, n: int | None,
     return 0
 
 
-@cli.command()
-@click.option("--algo", required=True,
-              type=click.Choice(["greedy", "four", "lll", "exact"]))
-@click.option("--colors", type=click.IntRange(min=1), default=None,
-              help="palette size (lll: defaults to the guaranteed bound; "
-                   "exact: search cap)")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-resamples", type=click.IntRange(min=1),
-              default=DEFAULT_MAX_ROUNDS, show_default=True)
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
+@_command("color",
+          _arg("--algo", required=True, choices=["greedy", "four", "lll", "exact"]),
+          _arg("--colors", type=_positive,
+               help="palette size (lll: defaults to the guaranteed bound; "
+                    "exact: search cap)"),
+          _arg("--seed", type=int, default=0, help="[default: %(default)s]"),
+          _arg("--max-resamples", type=_positive, default=DEFAULT_MAX_ROUNDS,
+               help="[default: %(default)s]"),
+          _FILE,
+          _OUTPUT)
 def color(algo: str, colors: int | None, seed: int, max_resamples: int,
           file: str, output: str) -> int:
     """Color the hypergraph in FILE and write the coloring to -o."""
@@ -149,9 +187,8 @@ def color(algo: str, colors: int | None, seed: int, max_resamples: int,
     return 0
 
 
-@cli.command()
-@click.argument("hypergraph", type=click.Path(exists=True, dir_okay=False))
-@click.argument("coloring", type=click.Path(exists=True, dir_okay=False))
+@_command("verify", _arg("hypergraph", metavar="HYPERGRAPH", type=_input_file),
+          _arg("coloring", metavar="COLORING", type=_input_file))
 def verify(hypergraph: str, coloring: str) -> int:
     """Check conflict-freeness; bad edge indices print one per line."""
     h = load_hypergraph(_read(hypergraph))
@@ -162,9 +199,7 @@ def verify(hypergraph: str, coloring: str) -> int:
     return 1 if bad else 0
 
 
-@cli.command("dual")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
+@_command("dual", _FILE, _OUTPUT)
 def dual_cmd(file: str, output: str) -> int:
     """Write the dual hypergraph of FILE to -o."""
     h = load_hypergraph(_read(file))
@@ -172,16 +207,16 @@ def dual_cmd(file: str, output: str) -> int:
     return 0
 
 
-@cli.command()
-@click.option("--a", "a", required=True, type=click.IntRange(min=1))
-@click.option("--b", "b", required=True, type=click.IntRange(min=1))
-@click.option("--budget", type=click.IntRange(min=1), default=DEFAULT_BUDGET,
-              show_default=True, help="search-node limit")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_command("factor",
+          _arg("--a", required=True, type=_positive),
+          _arg("--b", required=True, type=_positive),
+          _arg("--budget", type=_positive, default=DEFAULT_BUDGET,
+               help="search-node limit [default: %(default)s]"),
+          _FILE)
 def factor(a: int, b: int, budget: int, file: str) -> int:
     """Search an {a,b}-factor; prints a factor file, NONE, or BUDGET."""
     if b < a:
-        raise click.UsageError(f"--b must be at least --a, got {b} < {a}")
+        raise argparse.ArgumentError(None, f"--b must be at least --a, got {b} < {a}")
     g = load_hypergraph(_read(file))
     obstruction = parity_precheck(g, a, b)
     if obstruction is not None:
@@ -196,14 +231,13 @@ def factor(a: int, b: int, budget: int, file: str) -> int:
     return 0
 
 
-@cli.command("chi-cf")
-@click.option("--max-k", type=click.IntRange(min=1), default=None,
-              help="largest palette to try (default: max degree + 1)")
-@click.option("--mode", type=click.Choice(["exact", "characterize-4u"]),
-              default="exact", show_default=True,
-              help="characterize-4u: the exact oracle, for connected "
-                   "4-uniform inputs of max degree <= 2 only")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_command("chi-cf",
+          _arg("--max-k", type=_positive,
+               help="largest palette to try (default: max degree + 1)"),
+          _arg("--mode", choices=["exact", "characterize-4u"], default="exact",
+               help="characterize-4u: the exact oracle, for connected 4-uniform "
+                    "inputs of max degree <= 2 only [default: %(default)s]"),
+          _FILE)
 def chi_cf(max_k: int | None, mode: str, file: str) -> int:
     """Exact conflict-free chromatic number plus a witness coloring, or
     BUDGET when the factor search for a 2-regular uniform part runs out."""
@@ -222,8 +256,7 @@ def chi_cf(max_k: int | None, mode: str, file: str) -> int:
     return 0
 
 
-@cli.command("stats")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@_command("stats", _FILE)
 def stats_cmd(file: str) -> int:
     """Print size, degree, uniformity, regularity, and connectivity."""
     st = stats(load_hypergraph(_read(file)))
@@ -240,13 +273,16 @@ def stats_cmd(file: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
+        args = vars(_PARSER.parse_args(argv))
+        return args.pop("command")(**args)
+    except SystemExit:  # only --help exits, after printing; error() raises
+        return 0
     except SearchBudgetExceeded as exc:
         _echo(str(exc), err=True)
         _echo("BUDGET")
         return 2
-    except click.UsageError as exc:
-        _echo(f"usage error: {exc.format_message()}", err=True)
+    except argparse.ArgumentError as exc:
+        _echo(f"usage error: {exc}", err=True)
         return 64
     except ParseError as exc:
         _echo(f"input error: {exc}", err=True)
@@ -257,7 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _echo(f"i/o error: {exc}", err=True)
         return 66
-    return 0 if rv is None else int(rv)
 
 
 if __name__ == "__main__":

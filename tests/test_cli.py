@@ -1,11 +1,17 @@
 import gc
 import io
+import os
 import random
+import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import cfhyper
 from cfhyper import (
     Hypergraph,
     color_bound,
@@ -416,7 +422,7 @@ def test_bad_targets_and_round_cap_are_usage_errors(tmp_path, capsys, argv):
 
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "stats", "/nonexistent/file.hg")
-    assert code == 64  # click validates the path before the command runs
+    assert code == 64  # the parser checks the path before the command runs
 
 
 def test_in_process_calls_keep_no_streams(tmp_path):
@@ -443,3 +449,63 @@ def test_in_process_calls_keep_no_streams(tmp_path):
     finally:
         tracemalloc.stop()
     assert kept < 20_000, kept
+
+
+# The command-line contract, independent of the parser behind it: every
+# usage error exits 64 with "usage error: " on stderr and nothing on
+# stdout, and every --help exits 0 naming each option of its command.
+OPTIONS = {
+    "gen": ["--construction", "--t", "--r", "--n", "--delta", "-o",
+            "--output", "--roles", "--no-roles"],
+    "color": ["--algo", "--colors", "--seed", "--max-resamples", "-o",
+              "--output"],
+    "verify": [],
+    "dual": ["-o", "--output"],
+    "factor": ["--a", "--b", "--budget"],
+    "chi-cf": ["--max-k", "--mode"],
+    "stats": [],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    ((), 64),
+    (("nope",), 64),
+    (("stats",), 64),
+    (("stats", "MISSING"), 64),
+    (("stats", "DIR"), 64),
+    (("color", "--algo", "greedy", "FILE", "-o", "DIR"), 64),
+    (("color", "--algo", "x", "FILE", "-o", "OUT"), 64),
+    (("color", "--alg", "greedy", "FILE", "-o", "OUT"), 64),
+    (("factor", "--a", "x", "--b", "2", "FILE"), 64),
+    (("factor", "--a", "0", "--b", "2", "FILE"), 64),
+    (("stats", "FILE", "extra"), 64),
+    (("--version",), 64),
+    (("gen", "--construction", "odd_cycle", "-o", "OUT"), 64),
+    (("--help",), 0),
+    *[((command, "--help"), 0) for command in OPTIONS],
+])
+def test_cli_contract(tmp_path, capsys, argv, code):
+    hg = tmp_path / "c4.hg"
+    hg.write_text("hypergraph 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    paths = {"FILE": hg, "DIR": tmp_path, "OUT": tmp_path / "out",
+             "MISSING": tmp_path / "missing.hg"}
+    argv = [str(paths.get(a, a)) for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert not paths["OUT"].exists()
+    if code == 64:
+        assert out == "" and err.startswith("usage error: ")
+        return
+    assert err == ""
+    names = OPTIONS[argv[0]] if len(argv) == 2 else list(OPTIONS)
+    for name in names + ["--help"]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out), name
+
+
+def test_cli_has_no_runtime_dependency():
+    env = dict(os.environ, PYTHONPATH=str(Path(cfhyper.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import cfhyper.cli, sys; sys.exit('click' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

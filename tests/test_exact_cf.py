@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import random
 import time
 from contextlib import redirect_stdout
@@ -396,6 +397,19 @@ def _searches(monkeypatch) -> list[exact_cf._ConflictFree]:
     return made
 
 
+def _depths(monkeypatch) -> list[int]:
+    """The depth of every part the searches create from here on."""
+    depths = []
+    part = exact_cf._ConflictFree._part
+
+    def recorded(self, h: Hypergraph, depth: int) -> exact_cf._Part:
+        depths.append(depth)
+        return part(self, h, depth)
+
+    monkeypatch.setattr(exact_cf._ConflictFree, "_part", recorded)
+    return depths
+
+
 def _parts(search: exact_cf._ConflictFree) -> int:
     """The parts a search has created."""
     return exact_cf._PARTS_PER_VERTEX * search.n - search.parts_left
@@ -408,7 +422,8 @@ def test_split_size_stays_linear(monkeypatch, name):
     # hands the chain of K4s to the kernel whole once the split is
     # _MAX_DEPTH deep (over a billion nodes); asking U of the side with
     # |S_i| = 2 before the free U of the other makes the parts n^1.58 on
-    # the tree of triangles
+    # the tree of triangles; ranking single-edge splits by index instead
+    # of by largest piece peels one vertex per level, _MAX_DEPTH deep
     if name == "reversed path":
         n, value = 200, 2
         h = Hypergraph.from_edges(n, [(v, v + 1) for v in range(n - 1, 0, -1)])
@@ -427,10 +442,12 @@ def test_split_size_stays_linear(monkeypatch, name):
         edges += [(4 * c + 4, 4 * c + 5) for c in range(49)]
         h = _relabel(random.Random(4), n, edges)
     calls, searches = _counted(monkeypatch), _searches(monkeypatch)
+    depths = _depths(monkeypatch)
     res = chi_cf_exact(h)
     assert res.chi_cf == value and is_conflict_free(h, res.witness) == []
     assert calls[0] <= n and res.nodes <= 4 * n
     assert _parts(searches[0]) <= 2 * n
+    assert max(depths) <= 2 * math.log2(n)
 
 
 def test_comb_is_cut_in_one_split(monkeypatch):

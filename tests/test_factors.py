@@ -531,3 +531,52 @@ def test_mixed_degree_factor_on_random_uniform_graphs():
         f = find_ab_factor(g, 1, 4)
         if f is not None:
             assert factor_defects(g, f) == []
+
+
+def _milp_factor_exists(g: Hypergraph, a: int, b: int) -> bool:
+    """Whether g has an {a,b}-factor, as a 0/1 program solved by HiGHS.
+
+    x[e] says edge e is selected and y[v] that vertex v takes degree b:
+    sum_{e at v} x[e] - (b - a) * y[v] = a for every vertex v.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    rows, cols, coeffs = [], [], []
+    for e, edge in enumerate(g.edges):
+        for v in edge:
+            rows.append(v - 1)
+            cols.append(e)
+            coeffs.append(1)
+    for v in range(g.n):
+        rows.append(v)
+        cols.append(g.m + v)
+        coeffs.append(a - b)
+    size = g.m + g.n
+    matrix = sparse.coo_array((coeffs, (rows, cols)), shape=(g.n, size))
+    res = optimize.milp(
+        c=[0] * size, integrality=[1] * size, bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(matrix.tocsr(), a, a))
+    assert res.status in (0, 2), res.message  # solved, or proved infeasible
+    return res.status == 0
+
+
+def test_factor_agrees_with_milp_on_small_cut_heavy_graphs():
+    # an independent check of both verdicts: a None claims a proof
+    rng = random.Random(31)
+    verdicts = []
+    while len(verdicts) < 300:
+        g = _cut_heavy(rng)
+        if g.n > 12:
+            continue
+        a = rng.randint(1, 3)
+        b = a + rng.randint(0, 3)
+        found = find_ab_factor(g, a, b)
+        assert (found is not None) == _milp_factor_exists(g, a, b), (g, a, b)
+        verdicts.append(found is not None)
+    assert 50 <= sum(verdicts) <= 250
+
+
+def test_g_tr_1_7_has_no_16_factor_by_milp():
+    g = build_g_tr(1, 7)[0]
+    assert find_ab_factor(g, 1, 6) is None
+    assert not _milp_factor_exists(g, 1, 6)
