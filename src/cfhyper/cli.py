@@ -73,8 +73,8 @@ _COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
 
 def _command(name: str, *arguments: tuple):
     def register(fn):
-        doc = " ".join(fn.__doc__.split())
-        parser = _COMMANDS.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        parser = _COMMANDS.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                      allow_abbrev=False)
         for flags, options in arguments:
             parser.add_argument(*flags, **options)
         parser.set_defaults(command=fn)
