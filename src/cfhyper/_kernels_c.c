@@ -7,7 +7,8 @@
  * For the searches the caller guarantees every vertex id is in [0, n),
  * every allowed degree of a vertex v is in [0, deg(v)] and 0 <= k <= n;
  * their return codes below 0 mean an allocation failed. The edge passes
- * (cfh_scan, cfh_incidence) check every index they read themselves.
+ * (cfh_scan, cfh_incidence, cfh_edge_degree, cfh_components) check every
+ * index they read themselves.
  */
 #include <stdlib.h>
 
@@ -228,6 +229,64 @@ int cfh_incidence(int n, int m, const int *ends, int nids, const int *ids, int *
     return 0;
 }
 
+/* See cfhyper._kernels_py.edge_degree. vptr (n + 1) and vedges (nvedges)
+ * are the incidence of the edges, stamp holds m zeros. Each edge stamps
+ * the edges in its vertices' rows, counting the first stamp of each.
+ * Returns the largest count less one (0 when m is 0), or BADINPUT for an
+ * edge, id, row bound or row entry out of range. */
+int cfh_edge_degree(int n, int m, const int *ends, int nids, const int *ids,
+                    const int *vptr, int nvedges, const int *vedges, int *stamp) {
+    int e, j, k, v, count, best = 0;
+    for (e = 0; e < m; e++)
+        if (!edge_in_range(e, m, ends, nids, ids, n)) return BADINPUT;
+    if (vptr[0] < 0 || vptr[n] > nvedges) return BADINPUT;
+    for (v = 0; v < n; v++)
+        if (vptr[v] > vptr[v + 1]) return BADINPUT;
+    for (j = vptr[0]; j < vptr[n]; j++)
+        if (vedges[j] < 0 || vedges[j] >= m) return BADINPUT;
+    for (e = 0; e < m; e++) {
+        for (j = ends[e], count = 0; j < ends[e + 1]; j++)
+            for (v = ids[j], k = vptr[v]; k < vptr[v + 1]; k++)
+                if (stamp[vedges[k]] != e + 1) {
+                    stamp[vedges[k]] = e + 1;
+                    count++;
+                }
+        if (count - 1 > best) best = count - 1;
+    }
+    return best;
+}
+
+/* the root of v in a union-find forest, halving the path to it */
+static int find_root(int *parent, int v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+}
+
+/* See cfhyper._kernels_py.components: a union-find whose roots are the
+ * smallest vertex of their tree, so parent[v] <= v and one ascending pass
+ * turns label, the forest, into component labels numbered by smallest
+ * vertex. label has room for n. Returns the number of components, or
+ * BADINPUT for an edge or id out of range. */
+int cfh_components(int n, int m, const int *ends, int nids, const int *ids, int *label) {
+    int e, j, v, a, b, count = 0;
+    for (e = 0; e < m; e++)
+        if (!edge_in_range(e, m, ends, nids, ids, n)) return BADINPUT;
+    for (v = 0; v < n; v++) label[v] = v;
+    for (e = 0; e < m; e++) {
+        for (j = ends[e], a = -1; j < ends[e + 1]; j++) {
+            b = find_root(label, ids[j]);
+            if (a < 0 || b < a) {
+                if (a >= 0) label[a] = b;
+                a = b;
+            } else {
+                label[b] = a;
+            }
+        }
+    }
+    for (v = 0; v < n; v++) label[v] = label[v] == v ? count++ : label[label[v]];
+    return count;
+}
+
 /* See cfhyper._kernels_py.color_search. data holds eptr (m + 1), everts
  * (eptr[m]) and n zeroed colors; edge i is everts[eptr[i] .. eptr[i + 1]).
  * Returns 1 with the coloring in place, 0 when none exists, or NOMEM. */
@@ -335,18 +394,19 @@ static int cmp_int(const void *a, const void *b) {
     return (x > y) - (x < y);
 }
 
-/* The edge lines of a hypergraph file: body holds the len bytes after its
- * header. Accepted are exactly m lines of ids in 1..n, in ASCII decimal
- * of at most 10 digits, separated by spaces or tabs and ended by \n (the
- * last one also by the end of body), then only spaces, tabs and \n. Line
- * i's ids go sorted to ids[ends[i] .. ends[i + 1]); ids has room for cap
- * of them, ends for min(m, cap) + 1. Returns ends[m], or -1 to decline
- * anything else: an empty line, a repeated id, more than cap ids, any
- * other byte. Declining is no verdict; graph_io's parser then reads the
- * file and owns every error message. */
-int cfh_parse(const unsigned char *body, long long len, int n, int m, int cap,
-              int *ends, int *ids) {
-    const unsigned char *p = body, *end = body + len;
+/* The edge lines of a hypergraph file, read in place: the body is
+ * data[start .. len), the bytes after its header. Accepted are exactly m
+ * lines of ids in 1..n, in ASCII decimal of at most 10 digits, separated
+ * by spaces or tabs and ended by \n (the last one also by the end of
+ * body), then only spaces, tabs and \n. Line i's ids go sorted to
+ * ids[ends[i] .. ends[i + 1]); ids has room for cap of them, ends for
+ * min(m, cap) + 1. Returns ends[m], or -1 to decline anything else: an
+ * empty line, a repeated id, more than cap ids, any other byte. Declining
+ * is no verdict; graph_io's parser then reads the file and owns every
+ * error message. */
+int cfh_parse(const unsigned char *data, long long start, long long len, int n, int m,
+              int cap, int *ends, int *ids) {
+    const unsigned char *p = data + start, *end = data + len;
     int line, k = 0, first, i, j, v, digits;
     long long value;
 

@@ -26,6 +26,7 @@ import ctypes
 import gc
 import hashlib
 import os
+import struct
 from array import array
 from itertools import accumulate, chain, pairwise
 from operator import sub
@@ -74,16 +75,17 @@ def _build(target: Path) -> None:
 
 
 def _bind(path: str | Path) -> ctypes.CDLL:
-    """Load a build of _kernels_c.c and declare its five entry points."""
+    """Load a build of _kernels_c.c and declare its seven entry points."""
     lib = ctypes.CDLL(str(path))
     i, ll, p = ctypes.c_int, ctypes.c_longlong, ctypes.c_void_p
-    lib.cfh_solve.argtypes = [i, i, p, ll, p]
-    lib.cfh_color.argtypes = [i, i, i, i, p, p]
-    lib.cfh_parse.argtypes = [ctypes.c_char_p, ll, i, i, i, p, p]
-    lib.cfh_scan.argtypes = [i, p, i, p, i, p, i, i, i, p, p, p]
-    lib.cfh_incidence.argtypes = [i, i, p, i, p, p, p]
-    for fn in (lib.cfh_solve, lib.cfh_color, lib.cfh_parse, lib.cfh_scan, lib.cfh_incidence):
-        fn.restype = i
+    for fn, argtypes in ((lib.cfh_solve, [i, i, p, ll, p]),
+                         (lib.cfh_color, [i, i, i, i, p, p]),
+                         (lib.cfh_parse, [ctypes.c_char_p, ll, ll, i, i, i, p, p]),
+                         (lib.cfh_scan, [i, p, i, p, i, p, i, i, i, p, p, p]),
+                         (lib.cfh_incidence, [i, i, p, i, p, p, p]),
+                         (lib.cfh_edge_degree, [i, i, p, i, p, p, i, p, p]),
+                         (lib.cfh_components, [i, i, p, i, p, p])):
+        fn.argtypes, fn.restype = argtypes, i
     return lib
 
 
@@ -146,22 +148,23 @@ def color_search(n: int, edges: Sequence[Sequence[int]], k: int,
     return (data[len(data) - n:].tolist() if found else None, nodes[0])
 
 
-def parse_edges(body: bytes, n: int, m: int) -> tuple[array, array] | None:
-    """The m edge lines in ``body``, a hypergraph file after its header.
+def parse_edges(data: bytes, n: int, m: int, start: int = 0) -> tuple[array, array] | None:
+    """The m edge lines in data[start:], a hypergraph file after its header.
 
     Returns (ends, ids): edge i is ids[ends[i]:ends[i + 1]], sorted, with
     ends[0] == 0. Returns None, declining, on anything but m lines of
     distinct ids in 1..n in plain ASCII decimal, separated by spaces or
     tabs and followed by blank lines at most (see cfh_parse).
     """
-    cap = (len(body) + 1) // 2  # an id takes a digit and, but the last, a separator
-    if not (0 <= n <= _INT_MAX and 0 <= m <= _INT_MAX and cap < _INT_MAX):
+    cap = (len(data) - start + 1) // 2  # an id takes a digit and, but the last, a separator
+    if not (0 <= start <= len(data) and 0 <= n <= _INT_MAX and 0 <= m <= _INT_MAX
+            and cap < _INT_MAX):
         return None
-    if b"#" in body or b"\r" in body:  # comments, CR line ends: no buffers, no scan
-        return None
+    if data.find(b"#", start) >= 0 or data.find(b"\r", start) >= 0:
+        return None  # comments, CR line ends: no buffers, no scan
     ends = array("i", [0]) * (min(m, cap) + 1)
     ids = array("i", [0]) * cap
-    total = _lib.cfh_parse(body, len(body), n, m, cap,
+    total = _lib.cfh_parse(data, start, len(data), n, m, cap,
                            ends.buffer_info()[0], ids.buffer_info()[0])
     if total < 0:
         return None
@@ -177,8 +180,8 @@ def _int_array(values: Iterable[int]) -> array:
 def flatten(edges: Sequence[Sequence[int]]) -> tuple[array, array]:
     """The layout the edge passes read here: C int arrays (ends, ids), edge e
     being ids[ends[e]:ends[e + 1]], as parse_edges also returns them."""
-    return (array("i", [0, *accumulate(map(len, edges))]),
-            array("i", list(chain.from_iterable(edges))))
+    ends = array("i", struct.pack(f"{len(edges) + 1}i", 0, *accumulate(map(len, edges))))
+    return ends, array("i", struct.pack(f"{ends[-1]}i", *chain.from_iterable(edges)))
 
 
 def unflatten(flat: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -230,14 +233,43 @@ def scan_edges(flat: tuple[Sequence[int], Sequence[int]], colors: Sequence[int],
     return out[:failed].tolist()
 
 
-def incidence(n: int, flat: tuple[Sequence[int], Sequence[int]]) -> tuple[array, array]:
-    """See cfhyper._kernels_py.incidence."""
-    ends, ids = flat
-    ends, ids = _int_array(ends or [0]), _int_array(ids)
+def _edge_arrays(n: int, flat: tuple[Sequence[int], Sequence[int]]) -> tuple[array, array]:
+    """``flat`` as C int arrays, once the id count n is known to fit a C int."""
     if not 0 <= n < _INT_MAX:
         raise ValueError(f"vertex count {n} outside 0..{_INT_MAX - 1}")
+    return _int_array(flat[0] or [0]), _int_array(flat[1])
+
+
+def incidence(n: int, flat: tuple[Sequence[int], Sequence[int]]) -> tuple[array, array]:
+    """See cfhyper._kernels_py.incidence."""
+    ends, ids = _edge_arrays(n, flat)
     vptr, vedges = array("i", [0]) * (n + 1), array("i", [0]) * max(0, ends[-1] - ends[0])
     if _lib.cfh_incidence(n, len(ends) - 1, ends.buffer_info()[0], len(ids),
                           ids.buffer_info()[0], vptr.buffer_info()[0], vedges.buffer_info()[0]):
         raise ValueError("incidence: an edge or vertex id out of range")
     return vptr, vedges
+
+
+def edge_degree(n: int, flat: tuple[Sequence[int], Sequence[int]],
+                incidence: tuple[Sequence[int], Sequence[int]]) -> int:
+    """See cfhyper._kernels_py.edge_degree."""
+    (ends, ids), (vptr, vedges) = _edge_arrays(n, flat), map(_int_array, incidence)
+    if len(vptr) != n + 1:
+        raise ValueError(f"edge_degree: {len(vptr)} row offsets for {n} vertices")
+    stamp = array("i", [0]) * (len(ends) - 1)
+    best = _lib.cfh_edge_degree(n, len(ends) - 1, ends.buffer_info()[0], len(ids),
+                                ids.buffer_info()[0], vptr.buffer_info()[0], len(vedges),
+                                vedges.buffer_info()[0], stamp.buffer_info()[0])
+    if best < 0:
+        raise ValueError("edge_degree: an edge, vertex id or incidence entry out of range")
+    return best
+
+
+def components(n: int, flat: tuple[Sequence[int], Sequence[int]]) -> array:
+    """See cfhyper._kernels_py.components."""
+    ends, ids = _edge_arrays(n, flat)
+    label = array("i", [0]) * n
+    if _lib.cfh_components(n, len(ends) - 1, ends.buffer_info()[0], len(ids),
+                           ids.buffer_info()[0], label.buffer_info()[0]) < 0:
+        raise ValueError("components: an edge or vertex id out of range")
+    return label

@@ -6,17 +6,17 @@ biconnected block) and backtracking k-colorability (conflict-free or
 proper). cfhyper.kernels picks this module or its compiled twin at import
 time; both must explore the identical search tree so that verdicts,
 witnesses, and node counts agree exactly.
-The edge passes scan_edges and incidence follow them (both searches
-take their vertex-to-edge lists from incidence); here they loop over the
-edge tuples as they are.
+The edge passes scan_edges, incidence, edge_degree and components follow
+them (both searches take their vertex-to-edge lists from incidence);
+here they loop over the edge tuples as they are.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
-from itertools import accumulate, chain
-from operator import getitem
+from functools import partial, reduce
+from itertools import accumulate, chain, count
+from operator import getitem, or_
 from typing import Callable, Iterable, Sequence
 
 BACKEND_NAME = "pure"
@@ -302,3 +302,67 @@ def incidence(n: int, flat: Sequence[Sequence[int]]) -> tuple[list[int], list[in
         for v in edge:
             rows[v].append(e)
     return [0, *accumulate(map(len, rows))], list(chain.from_iterable(rows))
+
+
+def edge_degree(n: int, flat: Sequence[Sequence[int]],
+                incidence: tuple[Sequence[int], Sequence[int]]) -> int:
+    """For the worst edge in ``flat``, flatten()'s layout of edges with ids
+    in 0..n-1, the other edges sharing an id with it (0 for no edges);
+    ``incidence`` is incidence(n, flat). Bitmasks of incident edges (n * m
+    / 8 bytes) are used when they take at most 64 bytes per incidence, at
+    most 8 word ORs for each insert of the set loop that sparse inputs
+    (long cycles, matchings) take."""
+    if n * len(flat) <= 512 * sum(map(len, flat)):
+        return _edge_degree_by_masks(n, flat)
+    return _edge_degree_by_sets(flat, incidence)
+
+
+def _edge_degree_by_masks(n: int, flat: Sequence[Sequence[int]]) -> int:
+    # one mask of incident edges per id; an edge's count is the popcount
+    # of its ids' union, minus itself. Each byte row is freed as soon as
+    # it becomes a mask.
+    rows: list[bytearray | None] = [bytearray((len(flat) + 7) // 8) for _ in range(n)]
+    for i, edge in enumerate(flat):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for v in edge:
+            rows[v][byte] |= bit
+    masks = []
+    for v in range(n):
+        masks.append(int.from_bytes(rows[v], "little"))
+        rows[v] = None
+    return max((reduce(or_, map(masks.__getitem__, e)).bit_count()
+                for e in flat), default=1) - 1
+
+
+def _edge_degree_by_sets(flat: Sequence[Sequence[int]],
+                         incidence: tuple[Sequence[int], Sequence[int]]) -> int:
+    vptr, vedges = incidence[0], list(incidence[1])
+    rows = [vedges[a:b] for a, b in zip(vptr, vptr[1:])]
+    return max((len(set().union(*map(rows.__getitem__, e))) for e in flat),
+               default=1) - 1
+
+
+def components(n: int, flat: Sequence[Sequence[int]]) -> list[int]:
+    """For each id 0..n-1 of the edges in ``flat``, flatten()'s layout, the
+    index of its connected component, numbered by smallest id; an id in
+    no edge is a component of its own."""
+    parent = list(range(n))  # union-find forest, each root its tree's smallest id
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for edge in flat:
+        root = find(edge[0])
+        for v in edge[1:]:
+            other = find(v)
+            if other < root:
+                parent[root] = root = other
+            else:
+                parent[other] = root
+    labels = count()
+    for v, p in enumerate(parent):  # p <= v, and p < v is labelled already
+        parent[v] = next(labels) if p == v else parent[p]
+    return parent

@@ -42,9 +42,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> int:
-    if text.strip().isdecimal() and int(text) >= 1:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    try:
+        if text.strip().isdecimal() and (value := int(text)) >= 1:
+            return value
+    except ValueError:  # int() refuses more than 4,300 digits
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer >= 1, got {text if len(text) <= 40 else text[:20] + '...'!r}")
 
 
 def _output_file(path: str) -> str:

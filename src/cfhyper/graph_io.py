@@ -116,18 +116,20 @@ def _load_compiled(data: str | bytes) -> Hypergraph | None:
     """The hypergraph kernels.parse_edges reads, or None when it declines.
 
     Only a first line of exactly ``hypergraph <n> <m>`` is read here; any
-    other header is left to the reference parser."""
+    other header is left to the reference parser. The body is parsed where
+    it lies in ``data``: a copy of it would cost a page-faulting allocation
+    on every load."""
     if isinstance(data, str):
         if not data.isascii():
             return None
         data = data.encode()
-    head, _, body = data.partition(b"\n")
-    keyword, *fields = head.split(b" ")
+    start = data.find(b"\n") + 1 or len(data)  # the body's offset
+    keyword, *fields = data[:start].removesuffix(b"\n").split(b" ")
     if keyword != b"hypergraph" or len(fields) != 2 or not all(
             f.isdigit() and len(f) < 10 for f in fields):
         return None
     n, m = int(fields[0]), int(fields[1])
-    parsed = kernels.parse_edges(body, n, m)  # cfh_parse checks every edge
+    parsed = kernels.parse_edges(data, n, m, start)  # cfh_parse checks every edge
     return None if parsed is None else Hypergraph._trusted(n, m, parsed)
 
 

@@ -10,10 +10,11 @@ build, or CFHYPER_BACKEND=compiled to require the compiled one; the
 latter raises ImportError stating why it is unavailable. Any other
 nonempty value fails the import too. Both backends explore identical
 search trees; tests assert verdict-, witness-, and node-count-level
-agreement. Both also have two edge passes with equal results: scan_edges,
-the coloring checks of cfhyper.verify and cfhyper.lll, and incidence, the
+agreement. Both also have four edge passes with equal results: scan_edges,
+the coloring checks of cfhyper.verify and cfhyper.lll; incidence, the
 package's one builder of vertex-to-edge lists (Hypergraph.incidence caches
-it). They read edges in the layout their backend's flatten() gives, which
+it); edge_degree and components, the statistics stats() pays most for.
+They read edges in the layout their backend's flatten() gives, which
 Hypergraph.flat caches: C int arrays (ends, ids) on the compiled backend,
 the edge tuples themselves on the pure one, whose loops run fastest over them.
 Parsed hypergraphs read it through flatten's inverse unflatten, edge_sizes and edge_at.
@@ -66,6 +67,8 @@ edge_sizes = _impl.edge_sizes
 edge_at = _impl.edge_at
 scan_edges = _impl.scan_edges
 incidence = _impl.incidence
+edge_degree = _impl.edge_degree
+components = _impl.components
 parse_edges = getattr(_impl, "parse_edges", None)
 
 

@@ -9,11 +9,11 @@ immutable and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_, sub
+from functools import cached_property
+from operator import sub
 from typing import Iterable, NoReturn, Sequence
 
-from . import kernels
+from . import _kernels_py, kernels
 
 
 class HypergraphError(ValueError):
@@ -29,11 +29,12 @@ class Hypergraph:
     the edge list.
 
     ``m``, the statistics ``max_degree``, ``uniform_r``, ``regular_a``,
-    ``connected`` and ``max_edge_degree`` (see HypergraphStats; the last costs
-    by far the most), the ``components`` behind ``connected``, the ``flat``
-    edge layout and the ``incidence`` are lazy: computed on first read, cached
-    outside the fields that equality and hashing compare, and never stale, as
-    a Hypergraph is immutable. So are the ``edges`` of a _trusted Hypergraph.
+    ``connected`` and ``max_edge_degree`` (see HypergraphStats; the last,
+    a kernels.edge_degree pass, costs the most), the ``components`` behind
+    ``connected``, the ``flat`` edge layout and the ``incidence`` are lazy:
+    computed on first read, cached outside the fields that equality and
+    hashing compare, and never stale, as a Hypergraph is immutable. So are
+    the ``edges`` of a _trusted Hypergraph.
     """
 
     n: int
@@ -114,23 +115,16 @@ class Hypergraph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex sets of the connected components, each sorted, ordered by
-        smallest vertex; an isolated vertex is a component of its own."""
-        parent = list(range(self.n + 1))  # union-find forest
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for edge in self.edges:
-            root = find(edge[0])
-            for v in edge[1:]:
-                parent[find(v)] = root
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.n + 1):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(map(tuple, groups.values()))
+        smallest vertex; an isolated vertex is a component of its own. Edge
+        tuples at hand go to the pure union-find, as flattening them for
+        the compiled one costs more than it saves."""
+        edges = self.__dict__.get("edges")
+        labels = (kernels.components(self.n + 1, self.flat) if edges is None
+                  else _kernels_py.components(self.n + 1, edges))
+        groups: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+        for v, c in enumerate(labels):
+            groups[c].append(v)
+        return tuple(map(tuple, groups[1:]))  # group 0 holds only the unused id 0
 
     @cached_property
     def connected(self) -> bool:
@@ -139,16 +133,8 @@ class Hypergraph:
 
     @cached_property
     def max_edge_degree(self) -> int:
-        """For the worst edge, the other edges sharing a vertex with it.
-
-        Bitmasks of incident edges (n * m / 8 bytes) are used when they take
-        at most 64 bytes per incidence; then they need at most 8 word ORs
-        for each insert the set loop makes. Sparse inputs (long cycles,
-        matchings) take the set loop.
-        """
-        if self.n * self.m <= 512 * sum(map(len, self.edges)):
-            return _edge_degree_by_masks(self)
-        return _edge_degree_by_sets(self)
+        """For the worst edge, the other edges sharing a vertex with it."""
+        return kernels.edge_degree(self.n + 1, self.flat, self.incidence)
 
     def is_graph(self) -> bool:
         """True when every edge has exactly two vertices."""
@@ -363,30 +349,6 @@ def _incidence_rows(h: Hypergraph) -> list[list[int]]:
     vptr, vedges = h.incidence
     vedges = list(vedges)
     return [vedges[a:b] for a, b in zip(vptr, vptr[1:])]
-
-
-def _edge_degree_by_masks(h: Hypergraph) -> int:
-    # one mask of incident edges per vertex; an edge's count is the popcount
-    # of its vertices' union, minus itself. Each byte row is freed as soon
-    # as it becomes a mask.
-    rows: list[bytearray | None] = [
-        bytearray((h.m + 7) // 8) for _ in range(h.n + 1)]
-    for i, edge in enumerate(h.edges):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for v in edge:
-            rows[v][byte] |= bit
-    masks = []
-    for v in range(h.n + 1):
-        masks.append(int.from_bytes(rows[v], "little"))
-        rows[v] = None
-    return max((reduce(or_, map(masks.__getitem__, e)).bit_count()
-                for e in h.edges), default=1) - 1
-
-
-def _edge_degree_by_sets(h: Hypergraph) -> int:
-    rows = _incidence_rows(h)
-    return max((len(set().union(*map(rows.__getitem__, e))) for e in h.edges),
-               default=1) - 1
 
 
 def stats(h: Hypergraph) -> HypergraphStats:

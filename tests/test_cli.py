@@ -420,6 +420,16 @@ def test_bad_targets_and_round_cap_are_usage_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "out.col").exists()
 
 
+def test_count_past_the_digit_limit_is_a_trimmed_usage_error(tmp_path, capsys):
+    hg = tmp_path / "c4.hg"
+    hg.write_text("hypergraph 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    code, out, err = run(capsys, "factor", "--a", "1", "--b", "2", "--budget", "1" * 5000,
+                         str(hg))
+    assert (code, out) == (64, "")
+    assert err == ("usage error: argument --budget: expected an integer >= 1, "
+                   f"got '{'1' * 20}...'\n")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "stats", "/nonexistent/file.hg")
     assert code == 64  # the parser checks the path before the command runs
@@ -483,6 +493,8 @@ OPTIONS = {
     (("gen", "--construction", "odd_cycle", "-o", "OUT"), 64),
     (("--help",), 0),
     *[((command, "--help"), 0) for command in OPTIONS],
+    # last, so the rows above keep their ids
+    (("factor", "--a", "1", "--b", "2", "--budget", "1" * 5000, "FILE"), 64),
 ])
 def test_cli_contract(tmp_path, capsys, argv, code):
     hg = tmp_path / "c4.hg"

@@ -19,6 +19,7 @@ from cfhyper import (
     save_coloring,
     save_factor,
     save_hypergraph,
+    stats,
     strong_condition,
 )
 from cfhyper import graph_io, kernels
@@ -40,7 +41,7 @@ def use_compiled_edge_layer(mp):
     its edges from them, so under CFHYPER_BACKEND=pure too they must be read
     by the backend that laid them out."""
     for name in ("parse_edges", "flatten", "unflatten", "edge_sizes", "edge_at",
-                 "scan_edges", "incidence"):
+                 "scan_edges", "incidence", "edge_degree", "components"):
         mp.setattr(kernels, name, getattr(COMPILED, name))
 
 
@@ -456,4 +457,17 @@ def test_coloring_a_compiled_load_builds_no_edge_tuple(monkeypatch):
     c = randomized_cf_coloring(h, params)
     assert c == randomized_cf_coloring(built, params)
     assert is_conflict_free(h, c) == [] and strong_condition(h, c) == []
+    assert "edges" not in h.__dict__
+
+
+@needs_compiled
+@pytest.mark.parametrize("text", [*LAZY_FILES.values(), "hypergraph 7 2\n1 2\n6 5\n"],
+                         ids=[*LAZY_FILES, "isolated vertices"])
+def test_stats_of_a_compiled_load_builds_no_edge_tuple(text, monkeypatch):
+    use_compiled_edge_layer(monkeypatch)
+    h = load_hypergraph(text)
+    built = Hypergraph(h.n, h.edges)
+    h = load_hypergraph(text)
+    assert stats(h) == stats(built)
+    assert h.components == built.components
     assert "edges" not in h.__dict__

@@ -117,11 +117,14 @@ def _random_scan_instances(count, seed):
 
 
 def _scan_results(backend, n, edges, colors, which):
-    """Every test of scan_edges on one instance, then its incidence."""
+    """Every test of scan_edges on one instance, then its incidence, edge
+    degree and component labels."""
     flat = backend.flatten(edges)
+    incidence = backend.incidence(n, flat)
     return ([backend.scan_edges(flat, colors, mode, t, which)
              for mode, t in ((CONFLICT_FREE, 0), (FEW_COLORS, 1), (FEW_COLORS, 3))],
-            [list(a) for a in backend.incidence(n, flat)])
+            [list(a) for a in incidence], backend.edge_degree(n, flat, incidence),
+            list(backend.components(n, flat)))
 
 
 @needs_compiled
@@ -407,8 +410,13 @@ def _reference_edges(body, n, m):
 
 
 def _check_parse(parse_edges, body, n, m):
-    """The kernel's parse, which the reference must read alike when accepted."""
+    """The kernel's parse, which the reference must read alike when accepted,
+    and which a body at an offset, after bytes it would decline, gets too."""
     got = parse_edges(body, n, m)
+    head = b"# header\r\n"
+    at_offset = parse_edges(head + body, n, m, len(head))
+    assert (got is None and at_offset is None) or (
+        got[0] == at_offset[0] and got[1] == at_offset[1]), (body, n, m)
     if got is not None:
         got = got[0].tolist(), got[1].tolist()
         assert got == _reference_edges(body, n, m), (body, n, m)
@@ -459,8 +467,8 @@ def test_compiled_clamps_a_huge_palette():
             == compiled.color_search(3, [(0, 1, 2)], 3, 0))
 
 
-@needs_compiled
-@pytest.mark.parametrize("call", [
+# calls the C code must not see: the wrapper stops each with a ValueError
+BAD_INPUT_CALLS = [
     lambda k: k.solve_degree_constrained(3, [0], [3], [{1}] * 3, 9),
     lambda k: k.solve_degree_constrained(3, [-1], [0], [{1}] * 3, 9),
     lambda k: k.solve_degree_constrained(3, [0, 1], [1], [{1}] * 3, 9),
@@ -477,7 +485,26 @@ def test_compiled_clamps_a_huge_palette():
     lambda k: k.incidence(2, ([0, 2], [0, 2])),
     lambda k: k.incidence(2, ([0, 2, 1], [0, 1])),
     lambda k: k.incidence(-1, ([0], [])),
-])
+    lambda k: k.edge_degree(2, ([0, 2], [0, 2]), ([0, 1, 2], [0, 0])),
+    lambda k: k.edge_degree(2, ([0, 2, 1], [0, 1]), ([0, 1, 2], [0, 0])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([0, 1], [0])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([0, 1, 2, 2], [0, 0])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([-1, 1, 2], [0, 0])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([0, 2, 1], [0, 0])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([0, 1, 3], [0, 0])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([0, 1, 2], [0, 1])),
+    lambda k: k.edge_degree(2, ([0, 2], [0, 1]), ([0, 1, 2], [0, -1])),
+    lambda k: k.edge_degree(-1, ([0], []), ([0], [])),
+    lambda k: k.components(2, ([0, 2], [0, 2])),
+    lambda k: k.components(2, ([0, 2], [-1, 0])),
+    lambda k: k.components(2, ([0, 2, 1], [0, 1])),
+    lambda k: k.components(2, ([0, 3], [0, 1])),
+    lambda k: k.components(-1, ([0], [])),
+]
+
+
+@needs_compiled
+@pytest.mark.parametrize("call", BAD_INPUT_CALLS)
 def test_compiled_rejects_bad_input(call):
     # the C code trusts its arrays; the wrapper must stop these first
     with pytest.raises(ValueError):
@@ -487,8 +514,8 @@ def test_compiled_rejects_bad_input(call):
 _SANITIZED_RUN = """
 import sys
 from cfhyper import _kernels_c, _kernels_py
-from test_kernels import (ALLOWED_EDGE_CASES, DEGREE_EDGE_CASES, PARSE_EDGE_CASES,
-                          _check_parse, _random_allowed_instances,
+from test_kernels import (ALLOWED_EDGE_CASES, BAD_INPUT_CALLS, DEGREE_EDGE_CASES,
+                          PARSE_EDGE_CASES, _check_parse, _random_allowed_instances,
                           _random_color_instances, _random_degree_instances,
                           _random_parse_buffers, _random_scan_instances, _scan_results)
 _kernels_c._lib = _kernels_c._bind(sys.argv[1])
@@ -510,6 +537,12 @@ for args in _random_parse_buffers(1500, 24):
 for args in _random_scan_instances(1500, 25):
     assert _scan_results(_kernels_c, *args) == _scan_results(_kernels_py, *args), args
     count += 1
+for call in BAD_INPUT_CALLS:
+    try:
+        call(_kernels_c)
+        raise AssertionError("bad input accepted")
+    except ValueError:
+        count += 1
 print(count)
 """
 
@@ -530,7 +563,10 @@ def test_compiled_kernels_under_sanitizers(tmp_path):
          str(Path(cfhyper.__file__).with_name("_kernels_c.c")), "-o", str(lib)],
         capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
+    # PYTHONMALLOC=malloc: Python's small-object allocator would hide the
+    # buffers the C code reads from ASan
     env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONMALLOC="malloc",
                PYTHONPATH=os.pathsep.join(
                    [str(Path(cfhyper.__file__).parents[1]), str(Path(__file__).parent)]))
     run = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)],

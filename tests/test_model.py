@@ -9,7 +9,7 @@ from cfhyper import (
     remove_vertices,
     stats,
 )
-from cfhyper import model
+from cfhyper import _kernels_py, model
 from cfhyper.constructions import build_g_tr, complete_graph
 from cfhyper.graph_io import load_hypergraph, save_hypergraph
 from cfhyper.kernels import available_backends
@@ -91,6 +91,40 @@ def incidence_rows(h):
     return rows
 
 
+def reference_labels(h):
+    """Per vertex 0..n, the index of its component, numbered by smallest
+    vertex, each grown from it by direct set computation."""
+    edges = [set(e) for e in h.edges]
+    labels = [-1] * (h.n + 1)
+    count = 0
+    for v in range(h.n + 1):
+        if labels[v] < 0:
+            reach, grown = {v}, True
+            while grown:
+                grown = False
+                for e in edges:
+                    if reach & e and not e <= reach:
+                        reach |= e
+                        grown = True
+            for w in reach:
+                labels[w] = count
+            count += 1
+    return labels
+
+
+def twin_results(h):
+    """(edge_degree, components) of h's edges on every available backend,
+    after checking that they all agree."""
+    results = set()
+    for backend in available_backends().values():
+        flat = backend.flatten(h.edges)
+        results.add((backend.edge_degree(h.n + 1, flat, backend.incidence(h.n + 1, flat)),
+                     tuple(backend.components(h.n + 1, flat))))
+    assert len(results) == 1, (h, results)
+    degree, labels = results.pop()
+    return degree, list(labels)
+
+
 STAT_NAMES = ("max_degree", "max_edge_degree", "uniform_r", "regular_a",
               "connected")
 
@@ -107,9 +141,12 @@ def test_lazy_stats_match_reference(h):
     # each statistic alone, first read on a fresh instance
     for name in STAT_NAMES:
         assert getattr(Hypergraph(h.n, h.edges), name) == getattr(expected, name)
-    # both edge-degree methods, whichever one the size test picks
-    assert model._edge_degree_by_masks(h) == expected.max_edge_degree
-    assert model._edge_degree_by_sets(h) == expected.max_edge_degree
+    # each backend's twins, and both pure edge-degree methods, whichever
+    # one the size test picks
+    assert twin_results(h) == (expected.max_edge_degree, reference_labels(h))
+    rows = _kernels_py.incidence(h.n + 1, h.edges)
+    assert _kernels_py._edge_degree_by_masks(h.n + 1, h.edges) == expected.max_edge_degree
+    assert _kernels_py._edge_degree_by_sets(h.edges, rows) == expected.max_edge_degree
     # the cache is invisible to equality and hashing
     assert h == Hypergraph(h.n, h.edges)
     assert hash(h) == hash(Hypergraph(h.n, h.edges))
@@ -138,6 +175,44 @@ def test_components_match_networkx():
         ref = sorted(tuple(sorted(c)) for c in nx.connected_components(primal))
         assert list(ours) == ref, h
         assert Hypergraph(h.n, h.edges).connected == (len(ref) <= 1)
+
+
+TWIN_CASES = [
+    Hypergraph(0, ()),
+    Hypergraph(4, ()),  # isolated vertices only
+    Hypergraph(1, ((1,),)),
+    Hypergraph(6, ((2, 5), (2, 5), (3,), (1, 6))),  # parallel and size-1 edges
+    Hypergraph.from_edges(7, [(4, 7), (1, 4, 6), (1, 4, 6), (2,)]),
+]
+
+
+def test_structural_twins_match_reference():
+    for h in [*mixed_corpus(count=300), *TWIN_CASES]:
+        assert twin_results(h) == (reference_stats(h).max_edge_degree, reference_labels(h)), h
+
+
+# (n + 1) * m > 512 * (sum of edge sizes): the pure edge degree takes its set loop
+SPARSE_CASES = {
+    "long cycle": (Hypergraph.from_edges(1100, [(v, v % 1100 + 1) for v in range(1, 1101)]),
+                   2, [0] + [1] * 1100),
+    "matching": (Hypergraph(1200, tuple((2 * i - 1, 2 * i) for i in range(1, 601))),
+                 0, [0, *(i for i in range(1, 601) for _ in "ab")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
+def test_sparse_edge_degree_takes_the_set_loop(monkeypatch, case):
+    h, degree, labels = SPARSE_CASES[case]
+    assert (h.n + 1) * h.m > 512 * sum(map(len, h.edges))
+    monkeypatch.setattr(_kernels_py, "_edge_degree_by_masks", None)  # a call would raise
+    assert twin_results(h) == (degree, labels)
+    assert (h.max_edge_degree, h.connected) == (degree, case == "long cycle")
+
+
+def test_components_of_built_edges_skip_the_flat_layout():
+    h = Hypergraph.from_edges(6, [(1, 2), (5, 6), (2, 5)])
+    assert h.components == ((1, 2, 5, 6), (3,), (4,))
+    assert "flat" not in h.__dict__
 
 
 def test_invariants_rejected():
