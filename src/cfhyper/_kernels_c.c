@@ -4,19 +4,47 @@
  * The searches keep the same deterministic order and node accounting as
  * the Python reference, over flat int arrays; cfhyper._kernels_c builds
  * this file and calls it through ctypes. No Python headers are involved.
- * For the searches the caller guarantees every vertex id is in [0, n),
- * every allowed degree of a vertex v is in [0, deg(v)] and 0 <= k <= n;
- * their return codes below 0 mean an allocation failed. The edge passes
- * (cfh_scan, cfh_incidence, cfh_edge_degree, cfh_components) check every
- * index they read themselves.
+ * The searches and the edge passes take their edges as (ends, ids), edge
+ * e being ids[ends[e] .. ends[e + 1]), and check every index they read
+ * themselves; return codes below 0 mean an allocation failed or an input
+ * was out of range.
  */
 #include <stdlib.h>
 
 enum { FOUND = 0, UNSAT = 1, BUDGET = 2, NOMEM = -1, BADINPUT = -2, BADCOLOR = -3 };
 enum { VAL_IN = 1, VAL_OUT = 2, MODE_PROPER = 1, MODE_CONFLICT_FREE = 0 };
 
+/* whether edge e < m lies in ids (nids), each of its ids in [0, n) */
+static int edge_in_range(int e, int m, const int *ends, int nids, const int *ids, int n) {
+    int j;
+    if (e < 0 || e >= m || ends[e] < 0 || ends[e] > ends[e + 1] || ends[e + 1] > nids)
+        return 0;
+    for (j = ends[e]; j < ends[e + 1]; j++)
+        if (ids[j] < 0 || ids[j] >= n) return 0;
+    return 1;
+}
+
+/* See cfhyper._kernels_py.incidence: a counting sort, vertex v's edges
+ * going to vedges[vptr[v] .. vptr[v + 1]); vedges has room for ends[m] -
+ * ends[0]. Returns 0, or BADINPUT for an edge or id out of range. */
+int cfh_incidence(int n, int m, const int *ends, int nids, const int *ids, int *vptr,
+                  int *vedges) {
+    int e, j, v;
+    for (e = 0; e < m; e++)
+        if (!edge_in_range(e, m, ends, nids, ids, n)) return BADINPUT;
+    for (v = 0; v <= n; v++) vptr[v] = 0;
+    for (j = m ? ends[0] : 0; j < (m ? ends[m] : 0); j++) vptr[ids[j] + 1]++;
+    for (v = 0; v < n; v++) vptr[v + 1] += vptr[v];
+    /* vptr[v] is v's fill cursor, so afterwards it holds v + 1's offset */
+    for (e = 0; e < m; e++)
+        for (j = ends[e]; j < ends[e + 1]; j++) vedges[vptr[ids[j]]++] = e;
+    for (v = n; v > 0; v--) vptr[v] = vptr[v - 1];
+    vptr[0] = 0;
+    return 0;
+}
+
 typedef struct {
-    const int *eu, *ev;
+    const int *uv; /* edge e joins uv[2e] and uv[2e + 1] */
     int *vptr, *vedges, *state, *chosen, *undec, *trail;
     int *nxt; /* per vertex v, at vptr[v] + 2v: least allowed degree >= d
                  for d in 0 .. deg(v) + 1, or deg(v) + 1 when none is */
@@ -50,7 +78,7 @@ static int check_vertex(DCState *s, int v) {
 }
 
 static int assign(DCState *s, int e, int val) {
-    int st = s->state[e], a = s->eu[e], b = s->ev[e], r;
+    int st = s->state[e], a = s->uv[2 * e], b = s->uv[2 * e + 1], r;
     if (st != 0) return st == val;
     s->state[e] = val;
     s->trail[s->trail_len++] = e;
@@ -74,7 +102,7 @@ static int run_queue(DCState *s) {
 
 static void undo_to(DCState *s, int mark) {
     while (s->trail_len > mark) {
-        int e = s->trail[--s->trail_len], a = s->eu[e], b = s->ev[e];
+        int e = s->trail[--s->trail_len], a = s->uv[2 * e], b = s->uv[2 * e + 1];
         s->undec[a]++;
         s->undec[b]++;
         if (s->state[e] == VAL_IN) {
@@ -85,17 +113,18 @@ static void undo_to(DCState *s, int mark) {
     }
 }
 
-/* See cfhyper._kernels_py.solve_degree_constrained. data holds eu, ev
- * (m each), aptr (n + 1), the allowed degrees (aptr[n]; vertex v's are
- * aptr[v] .. aptr[v + 1], each in 0 .. deg(v)) and room for the 0/1
- * selection (m), written when FOUND; the branch decisions made go to
- * *nodes. */
-int cfh_solve(int n, int m, int *data, long long budget, long long *nodes) {
-    DCState s = {.eu = data, .ev = data + m};
-    const int *aptr = data + 2 * m, *avals = aptr + n + 1;
-    int *selection = data + 2 * m + n + 1 + aptr[n];
-    int *mem = calloc((size_t)n * 6 + (size_t)m * 9 + 1, sizeof(int));
-    int *fill, *frames, *top, *row, i, v, d, r = 1, scan = 0, depth = 0, status = NOMEM;
+/* See cfhyper._kernels_py.solve_degree_constrained. Each edge has 2 ids;
+ * vertex v's allowed degrees are avals[aptr[v] .. aptr[v + 1]), each in
+ * 0 .. m, those above deg(v) ignored. When FOUND the 0/1 selection goes
+ * to selection (m); the branch decisions made go to *nodes. Returns
+ * BADINPUT for an edge, id or allowed degree out of range or an edge of
+ * another size. */
+int cfh_solve(int n, int m, const int *ends, int nids, const int *ids, const int *aptr,
+              int navals, const int *avals, long long budget, long long *nodes,
+              int *selection) {
+    DCState s = {0};
+    int *mem = calloc((size_t)n * 5 + (size_t)m * 7 + (size_t)nids + 1, sizeof(int));
+    int *frames, *top, *row, i, v, d, r = 1, scan = 0, depth = 0, status = NOMEM;
 
     *nodes = 0;
     s.pend_cap = 4 * (size_t)m + 16;
@@ -104,30 +133,26 @@ int cfh_solve(int n, int m, int *data, long long budget, long long *nodes) {
     s.vptr = mem;              /* n + 1 */
     s.chosen = s.vptr + n + 1; /* n */
     s.undec = s.chosen + n;    /* n */
-    fill = s.undec + n;        /* n */
-    s.vedges = fill + n;       /* 2m */
-    s.state = s.vedges + 2 * m;
-    s.trail = s.state + m;
+    s.state = s.undec + n;     /* m */
+    s.trail = s.state + m;     /* m */
     frames = s.trail + m;      /* 3m: edge, next phase, trail mark */
     s.nxt = frames + 3 * m;    /* 2m + 2n */
+    s.vedges = s.nxt + 2 * m + 2 * n; /* ends[m] - ends[0] <= nids */
 
-    for (i = 0; i < m; i++) {
-        s.undec[s.eu[i]]++;
-        s.undec[s.ev[i]]++;
-    }
+    status = BADINPUT;
+    if (cfh_incidence(n, m, ends, nids, ids, s.vptr, s.vedges)) goto done;
+    for (i = 0; i < m; i++)
+        if (ends[i + 1] - ends[i] != 2) goto done;
+    for (v = 0; v < n; v++)
+        if (!edge_in_range(v, n, aptr, navals, avals, m + 1)) goto done;
+    s.uv = ids + (m ? ends[0] : 0);
+    status = NOMEM;
     for (v = 0; v < n; v++) {
-        s.vptr[v + 1] = s.vptr[v] + s.undec[v];
-        fill[v] = s.vptr[v];
-    }
-    for (i = 0; i < m; i++) {
-        s.vedges[fill[s.eu[i]]++] = i;
-        s.vedges[fill[s.ev[i]]++] = i;
-    }
-    for (v = 0; v < n; v++) {
-        int deg = s.undec[v];
+        int deg = s.undec[v] = s.vptr[v + 1] - s.vptr[v];
         row = s.nxt + s.vptr[v] + 2 * v;
         for (d = 0; d <= deg + 1; d++) row[d] = deg + 1;
-        for (i = aptr[v]; i < aptr[v + 1]; i++) row[avals[i]] = avals[i];
+        for (i = aptr[v]; i < aptr[v + 1]; i++)
+            if (avals[i] <= deg) row[avals[i]] = avals[i];
         for (d = deg; d >= 0; d--)
             if (row[d] > row[d + 1]) row[d] = row[d + 1];
     }
@@ -200,35 +225,6 @@ static int edge_ok(const int *first, const int *last, const int *colors, int *cn
     return ok;
 }
 
-/* whether edge e < m lies in ids (nids), each of its ids in [0, n) */
-static int edge_in_range(int e, int m, const int *ends, int nids, const int *ids, int n) {
-    int j;
-    if (e < 0 || e >= m || ends[e] < 0 || ends[e] > ends[e + 1] || ends[e + 1] > nids)
-        return 0;
-    for (j = ends[e]; j < ends[e + 1]; j++)
-        if (ids[j] < 0 || ids[j] >= n) return 0;
-    return 1;
-}
-
-/* See cfhyper._kernels_py.incidence: a counting sort, vertex v's edges
- * going to vedges[vptr[v] .. vptr[v + 1]); vedges has room for ends[m] -
- * ends[0]. Returns 0, or BADINPUT for an edge or id out of range. */
-int cfh_incidence(int n, int m, const int *ends, int nids, const int *ids, int *vptr,
-                  int *vedges) {
-    int e, j, v;
-    for (e = 0; e < m; e++)
-        if (!edge_in_range(e, m, ends, nids, ids, n)) return BADINPUT;
-    for (v = 0; v <= n; v++) vptr[v] = 0;
-    for (j = m ? ends[0] : 0; j < (m ? ends[m] : 0); j++) vptr[ids[j] + 1]++;
-    for (v = 0; v < n; v++) vptr[v + 1] += vptr[v];
-    /* vptr[v] is v's fill cursor, so afterwards it holds v + 1's offset */
-    for (e = 0; e < m; e++)
-        for (j = ends[e]; j < ends[e + 1]; j++) vedges[vptr[ids[j]]++] = e;
-    for (v = n; v > 0; v--) vptr[v] = vptr[v - 1];
-    vptr[0] = 0;
-    return 0;
-}
-
 /* See cfhyper._kernels_py.edge_degree. vptr (n + 1) and vedges (nvedges)
  * are the incidence of the edges, stamp holds m zeros. Each edge stamps
  * the edges in its vertices' rows, counting the first stamp of each.
@@ -287,31 +283,30 @@ int cfh_components(int n, int m, const int *ends, int nids, const int *ids, int 
     return count;
 }
 
-/* See cfhyper._kernels_py.color_search. data holds eptr (m + 1), everts
- * (eptr[m]) and n zeroed colors; edge i is everts[eptr[i] .. eptr[i + 1]).
- * Returns 1 with the coloring in place, 0 when none exists, or NOMEM. */
-int cfh_color(int n, int m, int k, int mode, int *data, long long *nodes) {
-    const int *eptr = data, *everts = data + m + 1;
-    int total = eptr[m], *colors = data + m + 1 + total, found, i, j, v, c, e, limit, ok;
-    int first, last;
+/* See cfhyper._kernels_py.color_search, with 0 <= k <= n. Returns 1 with
+ * the coloring in colors (n), 0 when none exists, NOMEM, or BADINPUT for
+ * an edge or id out of range. */
+int cfh_color(int n, int m, const int *ends, int nids, const int *ids, int k, int mode,
+              int *colors, long long *nodes) {
+    int found, i, j, v, c, e, limit, ok, first, last;
     int *vptr, *vinc, *uncolored, *attempt, *maxused, *cnt;
 
     *nodes = 0;
-    if (n == 0) return 1;
     /* one allocation per array, as the compiler may then assume they do
      * not alias: this search ran about 10% faster than with the arrays
      * carved out of one block */
     vptr = calloc(n + 1, sizeof(int));
-    attempt = calloc(n, sizeof(int));
+    attempt = calloc(n + 1, sizeof(int));
     maxused = calloc(n + 1, sizeof(int));
     cnt = calloc(k + 2, sizeof(int));
     uncolored = calloc(m + 1, sizeof(int));
-    vinc = calloc(total + 1, sizeof(int));
+    vinc = calloc((size_t)nids + 1, sizeof(int));
     found = NOMEM;
     if (!vptr || !attempt || !maxused || !cnt || !uncolored || !vinc) goto done;
-
-    cfh_incidence(n, m, eptr, total, everts, vptr, vinc);
-    for (i = 0; i < m; i++) uncolored[i] = eptr[i + 1] - eptr[i];
+    found = cfh_incidence(n, m, ends, nids, ids, vptr, vinc);
+    if (found == 0 && n == 0) found = 1; /* the empty coloring */
+    if (found != 0) goto done;
+    for (i = 0; i < m; i++) uncolored[i] = ends[i + 1] - ends[i];
 
     /* loop bounds live in locals: the int arrays written in the loops
      * could alias vptr as far as the compiler knows */
@@ -327,7 +322,7 @@ int cfh_color(int n, int m, int k, int mode, int *data, long long *nodes) {
             for (j = first, ok = 1; j < last && ok; j++) {
                 e = vinc[j];
                 ok = uncolored[e] != 0
-                     || edge_ok(everts + eptr[e], everts + eptr[e + 1], colors, cnt, mode);
+                     || edge_ok(ids + ends[e], ids + ends[e + 1], colors, cnt, mode);
             }
             if (ok) break;
             for (j = first; j < last; j++) uncolored[vinc[j]]++;

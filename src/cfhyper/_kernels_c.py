@@ -13,13 +13,16 @@ import never loads a half-written file. The import raises ImportError or
 OSError when no build can be had; cfhyper.kernels then falls back to the
 pure backend.
 
-The wrappers check what the C code trusts: array lengths and vertex ids
-in [0, n); the edge passes check the indices they read in C. Each
-allowed-degree set is clipped to 0..deg(v), the only degrees a search
-can meet, and numbers the search cannot tell from a smaller one (a
-budget past 2**63 - 1, more colors than vertices) are clamped, so
-results match the pure backend for every input. No memory is sized by
-a color value: scan_edges renumbers colors densely past len(colors) - 1.
+The searches and the edge passes take their edges as flatten() packs
+them. The wrappers check array lengths; every C entry point checks the
+ids and offsets it reads itself, and its wrapper raises ValueError when
+one is out of range, as flatten does for an id past C int range. The
+solve wrapper keeps allowed degrees in 0..m, which fit a C int, and C
+ignores those past deg(v), which no search can meet. Numbers the search
+cannot tell from a smaller one (a budget past 2**63 - 1, more colors than
+vertices) are clamped, so results match the pure backend for every
+input. No memory is sized by a color value: scan_edges renumbers colors
+densely past len(colors) - 1.
 """
 
 import ctypes
@@ -33,13 +36,15 @@ from operator import sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._kernels_py import BUDGET, CONFLICT_FREE, FEW_COLORS, FOUND, PROPER, UNSAT  # noqa: F401
+from ._kernels_py import (  # noqa: F401 (shared codes)
+    BUDGET, CONFLICT_FREE, FEW_COLORS, FOUND, MAX_N, PROPER, UNSAT)
 
 BACKEND_NAME = "compiled"
 
 _SOURCE = Path(__file__).with_name("_kernels_c.c")
 _LLONG_MAX = 2**63 - 1
 _INT_MAX = 2**31 - 1
+_BADINPUT = -2  # an edge, id or allowed degree out of range
 _BADCOLOR = -3  # cfh_scan read a color it has no counter for
 
 
@@ -78,8 +83,8 @@ def _bind(path: str | Path) -> ctypes.CDLL:
     """Load a build of _kernels_c.c and declare its seven entry points."""
     lib = ctypes.CDLL(str(path))
     i, ll, p = ctypes.c_int, ctypes.c_longlong, ctypes.c_void_p
-    for fn, argtypes in ((lib.cfh_solve, [i, i, p, ll, p]),
-                         (lib.cfh_color, [i, i, i, i, p, p]),
+    for fn, argtypes in ((lib.cfh_solve, [i, i, p, i, p, p, i, p, ll, p, p]),
+                         (lib.cfh_color, [i, i, p, i, p, i, i, p, p]),
                          (lib.cfh_parse, [ctypes.c_char_p, ll, ll, i, i, i, p, p]),
                          (lib.cfh_scan, [i, p, i, p, i, p, i, i, i, p, p, p]),
                          (lib.cfh_incidence, [i, i, p, i, p, p, p]),
@@ -104,11 +109,6 @@ def _library() -> Path:
 _lib = _bind(_library())
 
 
-def _check_ids(ids: list[int], n: int) -> None:
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        raise ValueError(f"vertex id outside 0..{n - 1}")
-
-
 def solve_degree_constrained(n: int, eu: Sequence[int], ev: Sequence[int],
                              allowed: Sequence[Iterable[int]],
                              budget: int) -> tuple[int, list[int] | None, int]:
@@ -116,36 +116,35 @@ def solve_degree_constrained(n: int, eu: Sequence[int], ev: Sequence[int],
     m = len(eu)
     if len(ev) != m or len(allowed) != n:
         raise ValueError("eu and ev need one entry per edge, allowed one per vertex")
-    ends = [*eu, *ev]
-    _check_ids(ends, n)
-    deg = [0] * n
-    for v in ends:
-        deg[v] += 1
-    kept = [[t for t in ts if 0 <= t <= d] for ts, d in zip(allowed, deg)]
-    data = array("i", [*ends, *accumulate(map(len, kept), initial=0), *chain(*kept)])
-    data.frombytes(bytes(m * data.itemsize))  # the selection goes here
-    nodes = array("q", [0])
+    ends, ids = _edge_arrays(n, flatten(tuple(zip(eu, ev))))
+    kept = [[t for t in ts if 0 <= t <= m] for ts in allowed]  # C drops those past deg(v)
+    aptr, avals = flatten(kept)
+    selection, nodes = array("i", [0]) * m, array("q", [0])
     if not -1 <= budget <= _LLONG_MAX:  # no search tells these from -1 or 2**63 - 1
         budget = -1 if budget < 0 else _LLONG_MAX
-    status = _lib.cfh_solve(n, m, data.buffer_info()[0], budget, nodes.buffer_info()[0])
+    status = _lib.cfh_solve(n, m, ends.buffer_info()[0], len(ids), ids.buffer_info()[0],
+                            aptr.buffer_info()[0], len(avals), avals.buffer_info()[0],
+                            budget, nodes.buffer_info()[0], selection.buffer_info()[0])
+    if status == _BADINPUT:
+        raise ValueError("solve_degree_constrained: an edge or vertex id out of range")
     if status < 0:
         raise MemoryError("solve_degree_constrained: out of memory")
-    return (status, data[len(data) - m:].tolist() if status == FOUND else None, nodes[0])
+    return (status, selection.tolist() if status == FOUND else None, nodes[0])
 
 
 def color_search(n: int, edges: Sequence[Sequence[int]], k: int,
                  mode: int) -> tuple[list[int] | None, int]:
     """See cfhyper._kernels_py.color_search."""
-    everts = [v for edge in edges for v in edge]
-    _check_ids(everts, n)
-    data = array("i", [*accumulate(map(len, edges), initial=0), *everts])
-    data.frombytes(bytes(n * data.itemsize))  # the colors go here
-    nodes = array("q", [0])
-    found = _lib.cfh_color(n, len(edges), max(0, min(k, n)), int(mode == PROPER),
-                           data.buffer_info()[0], nodes.buffer_info()[0])
+    ends, ids = _edge_arrays(n, flatten(edges))
+    colors, nodes = array("i", [0]) * n, array("q", [0])
+    found = _lib.cfh_color(n, len(ends) - 1, ends.buffer_info()[0], len(ids),
+                           ids.buffer_info()[0], max(0, min(k, n)), int(mode == PROPER),
+                           colors.buffer_info()[0], nodes.buffer_info()[0])
+    if found == _BADINPUT:
+        raise ValueError("color_search: an edge or vertex id out of range")
     if found < 0:
         raise MemoryError("color_search: out of memory")
-    return (data[len(data) - n:].tolist() if found else None, nodes[0])
+    return (colors.tolist() if found else None, nodes[0])
 
 
 def parse_edges(data: bytes, n: int, m: int, start: int = 0) -> tuple[array, array] | None:
@@ -178,10 +177,14 @@ def _int_array(values: Iterable[int]) -> array:
 
 
 def flatten(edges: Sequence[Sequence[int]]) -> tuple[array, array]:
-    """The layout the edge passes read here: C int arrays (ends, ids), edge e
-    being ids[ends[e]:ends[e + 1]], as parse_edges also returns them."""
-    ends = array("i", struct.pack(f"{len(edges) + 1}i", 0, *accumulate(map(len, edges))))
-    return ends, array("i", struct.pack(f"{ends[-1]}i", *chain.from_iterable(edges)))
+    """The layout the edge passes and searches read here: C int arrays (ends,
+    ids), edge e being ids[ends[e]:ends[e + 1]], as parse_edges also returns
+    them. Raises ValueError for an id or edge end past C int range."""
+    try:
+        ends = array("i", struct.pack(f"{len(edges) + 1}i", 0, *accumulate(map(len, edges))))
+        return ends, array("i", struct.pack(f"{ends[-1]}i", *chain.from_iterable(edges)))
+    except struct.error:
+        raise ValueError("flatten: an id or edge end past C int range") from None
 
 
 def unflatten(flat: tuple[Sequence[int], Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -234,9 +237,10 @@ def scan_edges(flat: tuple[Sequence[int], Sequence[int]], colors: Sequence[int],
 
 
 def _edge_arrays(n: int, flat: tuple[Sequence[int], Sequence[int]]) -> tuple[array, array]:
-    """``flat`` as C int arrays, once the id count n is known to fit a C int."""
-    if not 0 <= n < _INT_MAX:
-        raise ValueError(f"vertex count {n} outside 0..{_INT_MAX - 1}")
+    """``flat`` as C int arrays, once the id count n, ids 0..n-1 of a
+    hypergraph's 0..MAX_N, is known to be in range."""
+    if not 0 <= n <= MAX_N + 1:
+        raise ValueError(f"id count {n} outside 0..{MAX_N + 1}")
     return _int_array(flat[0] or [0]), _int_array(flat[1])
 
 

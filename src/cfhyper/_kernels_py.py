@@ -7,16 +7,17 @@ proper). cfhyper.kernels picks this module or its compiled twin at import
 time; both must explore the identical search tree so that verdicts,
 witnesses, and node counts agree exactly.
 The edge passes scan_edges, incidence, edge_degree and components follow
-them (both searches take their vertex-to-edge lists from incidence);
-here they loop over the edge tuples as they are.
+them (both searches take their vertex-to-edge lists from incidence, in
+both backends); here they loop over the edge tuples as they are, in
+memory O(n + the sum of edge sizes) on every input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate, chain, count
-from operator import getitem, or_
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 BACKEND_NAME = "pure"
@@ -30,6 +31,10 @@ BUDGET = 2
 CONFLICT_FREE = 0
 PROPER = 1
 FEW_COLORS = 2
+
+# the largest vertex count of a hypergraph: the compiled passes take its
+# n + 1 ids 0..n and count up to n + 2, which must fit a C int
+MAX_N = 2**31 - 3
 
 
 def solve_degree_constrained(
@@ -308,34 +313,8 @@ def edge_degree(n: int, flat: Sequence[Sequence[int]],
                 incidence: tuple[Sequence[int], Sequence[int]]) -> int:
     """For the worst edge in ``flat``, flatten()'s layout of edges with ids
     in 0..n-1, the other edges sharing an id with it (0 for no edges);
-    ``incidence`` is incidence(n, flat). Bitmasks of incident edges (n * m
-    / 8 bytes) are used when they take at most 64 bytes per incidence, at
-    most 8 word ORs for each insert of the set loop that sparse inputs
-    (long cycles, matchings) take."""
-    if n * len(flat) <= 512 * sum(map(len, flat)):
-        return _edge_degree_by_masks(n, flat)
-    return _edge_degree_by_sets(flat, incidence)
-
-
-def _edge_degree_by_masks(n: int, flat: Sequence[Sequence[int]]) -> int:
-    # one mask of incident edges per id; an edge's count is the popcount
-    # of its ids' union, minus itself. Each byte row is freed as soon as
-    # it becomes a mask.
-    rows: list[bytearray | None] = [bytearray((len(flat) + 7) // 8) for _ in range(n)]
-    for i, edge in enumerate(flat):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for v in edge:
-            rows[v][byte] |= bit
-    masks = []
-    for v in range(n):
-        masks.append(int.from_bytes(rows[v], "little"))
-        rows[v] = None
-    return max((reduce(or_, map(masks.__getitem__, e)).bit_count()
-                for e in flat), default=1) - 1
-
-
-def _edge_degree_by_sets(flat: Sequence[Sequence[int]],
-                         incidence: tuple[Sequence[int], Sequence[int]]) -> int:
+    ``incidence`` is incidence(n, flat). Each edge's count is the union of
+    its ids' incidence rows, so memory stays O(n + sum of edge sizes)."""
     vptr, vedges = incidence[0], list(incidence[1])
     rows = [vedges[a:b] for a, b in zip(vptr, vptr[1:])]
     return max((len(set().union(*map(rows.__getitem__, e))) for e in flat),

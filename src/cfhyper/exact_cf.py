@@ -143,24 +143,23 @@ def _splits(h: Hypergraph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     n = h.n
     # vertex v is node v, edge i node n+1+i; an edge separates h exactly
     # when its node is a cut vertex of this graph
-    inc = Hypergraph(n + h.m, tuple(
-        (v, n + 1 + i) for i, e in enumerate(h.edges) for v in e))
-    blocks, _, cuts = _biconnected_blocks(inc)
+    pairs = [(v, n + 1 + i) for i, e in enumerate(h.edges) for v in e]
+    blocks, _, cuts = _biconnected_blocks(n + h.m, pairs)
     blocks.sort()  # by first edge, which roots the tree and breaks ties
     if max(cuts, default=0) <= n:
         return []
     # the block-cut tree: block b is node b, cut vertex c node nb + c
     nb = len(blocks)
     touches: dict[tuple[int, int], int] = {}  # (block, cut) -> its incidences there
-    home = [0] * (inc.n + 1)  # the one block of each other node
+    home = [0] * (n + h.m + 1)  # the one block of each other node
     for b, block in enumerate(blocks):
         for eid in block:
-            for x in inc.edges[eid]:
+            for x in pairs[eid]:
                 if x in cuts:
                     touches[b, x] = touches.get((b, x), 0) + 1
                 else:
                     home[x] = b
-    adj: list[list[int]] = [[] for _ in range(nb + inc.n + 1)]
+    adj: list[list[int]] = [[] for _ in range(nb + n + h.m + 1)]
     for b, c in touches:
         adj[b].append(nb + c)
         adj[nb + c].append(b)
@@ -426,12 +425,15 @@ def proper_colorable(h: Hypergraph, k: int) -> Coloring | None:
     return _search(h, k, kernels.PROPER)[0]
 
 
-def _chi_exact(k_max: int, colorable: Callable[[int], tuple[Coloring | None, int]]
-               ) -> ChiCfResult | None:
-    """The first k in 1..k_max that colorable (a witness or None, and the
-    kernel nodes so far) answers with a witness."""
+def _chi_exact(h: Hypergraph, k_max: int,
+               colorable: Callable[[int], tuple[Coloring | None, int]]) -> ChiCfResult | None:
+    """0 and the empty coloring when h has no vertex, else the first k in
+    1..k_max that colorable (a witness or None, and the kernel nodes so far)
+    answers with a witness."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if h.n == 0:
+        return ChiCfResult(chi_cf=0, witness=Coloring(()), nodes=0)
     for k in range(1, k_max + 1):
         witness, nodes = colorable(k)
         if witness is not None:
@@ -443,7 +445,8 @@ def chi_cf_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
     """Smallest palette admitting a conflict-free coloring, with witness.
 
     Searches k = 1..k_max and returns None when every palette up to k_max
-    fails. The default cap max_degree+1 always suffices, so the default
+    fails; with no vertex the value is 0, the empty coloring's palette.
+    The default cap max_degree+1 always suffices, so the default
     call never returns None. nodes counts the color kernel's nodes over
     the whole call; a 2-regular uniform part goes to the factor duality
     instead, adds no nodes, and raises SearchBudgetExceeded when its
@@ -452,7 +455,7 @@ def chi_cf_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
     if k_max is None:
         k_max = h.max_degree + 1
     search = _ConflictFree(h)
-    return _chi_exact(k_max, lambda k: (search.colorable(k), search.nodes))
+    return _chi_exact(h, k_max, lambda k: (search.colorable(k), search.nodes))
 
 
 def chi_proper_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | None:
@@ -460,7 +463,7 @@ def chi_proper_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | N
 
     None when no palette up to k_max works; with size-1 edges present no
     proper coloring exists at all. The default cap n covers every
-    colorable instance.
+    colorable instance. With no vertex the value is 0, as for chi_cf_exact.
     """
     if k_max is None:
         k_max = max(h.n, 1)
@@ -472,4 +475,4 @@ def chi_proper_exact(h: Hypergraph, k_max: int | None = None) -> ChiCfResult | N
         total += nodes
         return witness, total
 
-    return _chi_exact(k_max, colorable)
+    return _chi_exact(h, k_max, colorable)

@@ -268,7 +268,7 @@ def find_ab_factor(
     if any(d == 0 for d in degrees):
         return None  # an isolated vertex can never reach degree a >= 1
 
-    blocks_raw, hangs, cuts = _biconnected_blocks(g)
+    blocks_raw, hangs, cuts = _biconnected_blocks(g.n, g.edges)
     blocks = []
     child_blocks: dict[int, list[int]] = {}  # per cut vertex, in first-edge order
     for bi, (raw, hang) in enumerate(zip(blocks_raw, hangs)):

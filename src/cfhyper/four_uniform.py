@@ -171,16 +171,13 @@ def elimination_ordering(h: Hypergraph, sep: Separator) -> EliminationOrdering:
 
     The middle section is the reverse breadth-first order of the shrunk
     hypergraph rooted at the kept vertex, so each vertex's BFS parent comes
-    later.
+    later. Its primal graph is h's without the removed vertices.
     """
-    shrunk, relabel = remove_vertices(h, sep.removed)
-    back = {new: old for old, new in relabel.items()}
-    visit, _ = _bfs(primal_adjacency(shrunk), relabel[sep.kept])
-    if len(visit) != shrunk.n:
+    adj = [[w for w in row if w not in sep.removed] for row in primal_adjacency(h)]
+    visit, _ = _bfs(adj, sep.kept)
+    if len(visit) != h.n - len(sep.removed):
         raise HypergraphError("ordering requires the shrunk hypergraph connected")
-    order = sorted(sep.removed)
-    order.extend(back[x] for x in reversed(visit))
-    return EliminationOrdering(tuple(order))
+    return EliminationOrdering((*sorted(sep.removed), *reversed(visit)))
 
 
 def three_color_4uniform(h: Hypergraph) -> Coloring:

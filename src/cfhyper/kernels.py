@@ -18,6 +18,9 @@ They read edges in the layout their backend's flatten() gives, which
 Hypergraph.flat caches: C int arrays (ends, ids) on the compiled backend,
 the edge tuples themselves on the pure one, whose loops run fastest over them.
 Parsed hypergraphs read it through flatten's inverse unflatten, edge_sizes and edge_at.
+Every compiled entry point checks the ids it reads and raises ValueError
+for one out of range; MAX_N, the largest vertex count a Hypergraph may
+have, keeps the ids it passes within C int range.
 
 The compiled backend also has parse_edges, which cfhyper.graph_io offers
 hypergraph files before its own parser. On the pure backend it is None
@@ -32,7 +35,7 @@ from types import ModuleType
 
 from . import _kernels_py
 from ._kernels_py import (  # noqa: F401 (shared codes)
-    BUDGET, CONFLICT_FREE, FEW_COLORS, FOUND, PROPER, UNSAT)
+    BUDGET, CONFLICT_FREE, FEW_COLORS, FOUND, MAX_N, PROPER, UNSAT)
 
 
 @functools.cache

@@ -24,9 +24,9 @@ class HypergraphError(ValueError):
 class Hypergraph:
     """A hypergraph on vertices 1..n with an ordered multiset of edges.
 
-    Invariants: every vertex id lies in 1..n, no vertex repeats inside an
-    edge, and every edge is nonempty. Edge indices are 1-based positions in
-    the edge list.
+    Invariants: n is at most kernels.MAX_N, every vertex id lies in 1..n,
+    no vertex repeats inside an edge, and every edge is nonempty. Edge
+    indices are 1-based positions in the edge list.
 
     ``m``, the statistics ``max_degree``, ``uniform_r``, ``regular_a``,
     ``connected`` and ``max_edge_degree`` (see HypergraphStats; the last,
@@ -41,9 +41,9 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise HypergraphError(f"vertex count must be >= 0, got {self.n}")
         n = self.n
+        if not 0 <= n <= kernels.MAX_N:
+            raise HypergraphError(f"vertex count must be in 0..{kernels.MAX_N}, got {n}")
         for idx, edge in enumerate(self.edges, start=1):
             # one comparison per vertex: strictly increasing from 0 puts
             # every vertex at >= 1, so only the last one needs the bound n
@@ -247,9 +247,11 @@ def _bfs(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
     return order, dist
 
 
-def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], list[int], set[int]]:
-    """Blocks of a 2-uniform g (Hopcroft-Tarjan) as sorted lists of 0-based
-    edge indices, bottom-up, with the vertex each hangs from, plus the cut
+def _biconnected_blocks(n: int, pairs: Sequence[Sequence[int]]
+                        ) -> tuple[list[list[int]], list[int], set[int]]:
+    """Blocks of the multigraph on vertices 1..n whose edges join the
+    endpoint pairs (Hopcroft-Tarjan) as sorted lists of 0-based edge
+    indices, bottom-up, with the vertex each hangs from, plus the cut
     vertices.
 
     Each component is searched from an endpoint of its lowest edge, in
@@ -262,18 +264,18 @@ def _biconnected_blocks(g: Hypergraph) -> tuple[list[list[int]], list[int], set[
     search runs it on its multigraph, the conflict-free split on the
     vertex-edge incidence graph of a hypergraph.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
-    for i, (u, v) in enumerate(g.edges):
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for i, (u, v) in enumerate(pairs):
         adj[u].append((i, v))
         adj[v].append((i, u))
-    disc = [0] * (g.n + 1)
-    low = [0] * (g.n + 1)
+    disc = [0] * (n + 1)
+    low = [0] * (n + 1)
     timer = 1
     edge_stack: list[int] = []
     blocks: list[list[int]] = []
     hangs: list[int] = []
 
-    for root, _ in g.edges:
+    for root, _ in pairs:
         if disc[root]:
             continue
         disc[root] = low[root] = timer

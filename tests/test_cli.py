@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -137,6 +138,23 @@ def test_factor_budget(tmp_path, capsys):
     assert out.strip() == "BUDGET"
 
 
+@pytest.mark.parametrize("text", ["hypergraph 3000000000 1\n3000000000\n",
+                                  "hypergraph 2147483647 1\n1\n"], ids=["3e9", "2**31-1"])
+@pytest.mark.parametrize("argv", [["stats"], ["color", "--algo", "greedy", "-o", "OUT"]],
+                         ids=["stats", "color"])
+def test_vertex_count_past_the_limit_is_a_data_error(tmp_path, capsys, text, argv):
+    # n past kernels.MAX_N is refused before any per-vertex list is built,
+    # on either backend (tier-1 runs this file on each)
+    hg = tmp_path / "big.hg"
+    hg.write_text(text)
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(hg))
+    assert time.perf_counter() - start < 1
+    assert code == 65 and out == "" and err.startswith("data error: vertex count")
+    assert not (tmp_path / "out").exists()
+
+
 def test_factor_refutes_g_tr_1_11(tmp_path, capsys):
     g = tmp_path / "g.hg"
     run(capsys, "gen", "--construction", "g_tr", "--t", "1", "--r", "11",
@@ -192,6 +210,14 @@ def test_chi_cf_characterize_mode(tmp_path, capsys):
     code, out, _ = run(capsys, "chi-cf", "--mode", "characterize-4u", str(d))
     assert code == 0
     assert out.splitlines()[0] == "3"
+
+
+@pytest.mark.parametrize("mode", ["exact", "characterize-4u"])
+def test_chi_cf_of_the_empty_hypergraph(tmp_path, capsys, mode):
+    # no vertex: 0 colors, the empty coloring's palette, in either mode
+    hg = tmp_path / "empty.hg"
+    hg.write_text("hypergraph 0 0\n")
+    assert run(capsys, "chi-cf", "--mode", mode, str(hg)) == (0, "0\ncoloring 0\n", "")
 
 
 def test_chi_cf_dual_of_g_tr(tmp_path, capsys):

@@ -138,6 +138,13 @@ def test_edgeless():
     assert res.chi_cf == 1 and res.witness.colors == (1, 1, 1)
 
 
+def test_no_vertex_takes_no_color():
+    h = Hypergraph(0, ())
+    for exact in (chi_cf_exact, chi_proper_exact):
+        res = exact(h)
+        assert (res.chi_cf, res.witness.palette, res.nodes) == (0, 0, 0)
+
+
 def test_two_colorability_matches_duality_on_2regular():
     # for 2-regular uniform hypergraphs, a 2-coloring exists exactly when
     # the dual regular graph has a {1, r-1}-factor

@@ -63,7 +63,7 @@ def test_parity_precheck_reports_first_odd_component():
 def test_biconnected_blocks_bowtie():
     # two triangles sharing vertex 3
     g = Hypergraph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
-    blocks, hangs, cuts = _biconnected_blocks(g)
+    blocks, hangs, cuts = _biconnected_blocks(g.n, g.edges)
     assert cuts == {3}
     # bottom-up: the root block, holding edge 0, comes last and hangs from 0
     assert blocks == [[3, 4, 5], [0, 1, 2]] and hangs == [3, 0]
@@ -72,7 +72,7 @@ def test_biconnected_blocks_bowtie():
 def test_biconnected_blocks_bridge_and_parallel():
     # parallel pair forms a block; the bridge is its own block
     g = Hypergraph.from_edges(3, [(1, 2), (1, 2), (2, 3)])
-    blocks, _, cuts = _biconnected_blocks(g)
+    blocks, _, cuts = _biconnected_blocks(g.n, g.edges)
     assert cuts == {2}
     assert sorted(sorted(b) for b in blocks) == [[0, 1], [2]]
 
@@ -316,7 +316,7 @@ def test_factor_against_brute_force_star_shaped():
             continue
         trials += 1
         g = Hypergraph.from_edges(next_free - 1, edges)
-        assert 1 in _biconnected_blocks(g)[2]
+        assert 1 in _biconnected_blocks(g.n, g.edges)[2]
         a = rng.randint(1, 2)
         b = a + trials % 4
         result = find_ab_factor(g, a, b)
@@ -473,7 +473,7 @@ def test_biconnected_blocks_match_networkx():
         pairs = {tuple(sorted(rng.sample(range(1, n + 1), 2)))
                  for _ in range(rng.randint(1, 2 * n))}
         g = Hypergraph.from_edges(n, sorted(pairs))
-        blocks, hangs, cuts = _biconnected_blocks(g)
+        blocks, hangs, cuts = _biconnected_blocks(g.n, g.edges)
         assert sorted(eid for blk in blocks for eid in blk) == list(range(g.m))
         # each block hangs from a vertex of a block listed after it, and
         # each root holds the lowest edge of its component

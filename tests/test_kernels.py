@@ -357,7 +357,7 @@ PARSE_EDGE_CASES = {
     "more lines than m": (b"1 2\n2 3\n", 3, 1, None),
     "fewer lines than m": (b"1 2\n", 3, 2, None),
     "m past the lines there": (b"1 2\n", 3, 2**31 - 1, None),
-    "largest id": (b"2147483647 1\n", 2**31 - 1, 1, ([0, 2], [1, 2147483647])),
+    "largest id": (b"2147483645 1\n", kernels.MAX_N, 1, ([0, 2], [1, 2147483645])),
     "id past a C int": (b"2147483648\n", 2**31 - 1, 1, None),
     "overflowing digit run": (b"1 " + b"9" * 40 + b"\n", 3, 1, None),
     "ten digits": (b"0000000002\n", 3, 1, ([0, 1], [2])),
@@ -467,15 +467,20 @@ def test_compiled_clamps_a_huge_palette():
             == compiled.color_search(3, [(0, 1, 2)], 3, 0))
 
 
-# calls the C code must not see: the wrapper stops each with a ValueError
+# calls refused with a ValueError: by the wrapper when an array length or a
+# number past C int range cannot be passed on, else by the C code, which
+# checks every id it reads; the ASan/UBSan run checks that it reads nothing
+# out of range while doing so
 BAD_INPUT_CALLS = [
     lambda k: k.solve_degree_constrained(3, [0], [3], [{1}] * 3, 9),
     lambda k: k.solve_degree_constrained(3, [-1], [0], [{1}] * 3, 9),
+    lambda k: k.solve_degree_constrained(3, [0], [2**31], [{1}] * 3, 9),
     lambda k: k.solve_degree_constrained(3, [0, 1], [1], [{1}] * 3, 9),
     lambda k: k.solve_degree_constrained(3, [0], [1], [{1}] * 2, 9),
     lambda k: k.solve_degree_constrained(3, [0], [1], [{1}] * 4, 9),
     lambda k: k.color_search(3, [(0, 1), (2, 3)], 2, 0),
     lambda k: k.color_search(3, [(0, -1)], 2, 1),
+    lambda k: k.color_search(3, [(0, 2**31)], 2, 0),
     lambda k: k.scan_edges(([0, 2], [0, 3]), [1, 1, 1], 0, 0),
     lambda k: k.scan_edges(([0, 2], [-1, 0]), [1, 1, 1], 2, 1),
     lambda k: k.scan_edges(([0, 2], [0, 1]), [1, 1], 0, 0, [1]),
@@ -506,7 +511,6 @@ BAD_INPUT_CALLS = [
 @needs_compiled
 @pytest.mark.parametrize("call", BAD_INPUT_CALLS)
 def test_compiled_rejects_bad_input(call):
-    # the C code trusts its arrays; the wrapper must stop these first
     with pytest.raises(ValueError):
         call(BACKENDS["compiled"])
 

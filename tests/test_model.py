@@ -9,7 +9,6 @@ from cfhyper import (
     remove_vertices,
     stats,
 )
-from cfhyper import _kernels_py, model
 from cfhyper.constructions import build_g_tr, complete_graph
 from cfhyper.graph_io import load_hypergraph, save_hypergraph
 from cfhyper.kernels import available_backends
@@ -141,12 +140,8 @@ def test_lazy_stats_match_reference(h):
     # each statistic alone, first read on a fresh instance
     for name in STAT_NAMES:
         assert getattr(Hypergraph(h.n, h.edges), name) == getattr(expected, name)
-    # each backend's twins, and both pure edge-degree methods, whichever
-    # one the size test picks
+    # each backend's twins
     assert twin_results(h) == (expected.max_edge_degree, reference_labels(h))
-    rows = _kernels_py.incidence(h.n + 1, h.edges)
-    assert _kernels_py._edge_degree_by_masks(h.n + 1, h.edges) == expected.max_edge_degree
-    assert _kernels_py._edge_degree_by_sets(h.edges, rows) == expected.max_edge_degree
     # the cache is invisible to equality and hashing
     assert h == Hypergraph(h.n, h.edges)
     assert hash(h) == hash(Hypergraph(h.n, h.edges))
@@ -183,30 +178,15 @@ TWIN_CASES = [
     Hypergraph(1, ((1,),)),
     Hypergraph(6, ((2, 5), (2, 5), (3,), (1, 6))),  # parallel and size-1 edges
     Hypergraph.from_edges(7, [(4, 7), (1, 4, 6), (1, 4, 6), (2,)]),
+    # sparse: a long cycle and a matching
+    Hypergraph.from_edges(1100, [(v, v % 1100 + 1) for v in range(1, 1101)]),
+    Hypergraph(1200, tuple((2 * i - 1, 2 * i) for i in range(1, 601))),
 ]
 
 
 def test_structural_twins_match_reference():
     for h in [*mixed_corpus(count=300), *TWIN_CASES]:
         assert twin_results(h) == (reference_stats(h).max_edge_degree, reference_labels(h)), h
-
-
-# (n + 1) * m > 512 * (sum of edge sizes): the pure edge degree takes its set loop
-SPARSE_CASES = {
-    "long cycle": (Hypergraph.from_edges(1100, [(v, v % 1100 + 1) for v in range(1, 1101)]),
-                   2, [0] + [1] * 1100),
-    "matching": (Hypergraph(1200, tuple((2 * i - 1, 2 * i) for i in range(1, 601))),
-                 0, [0, *(i for i in range(1, 601) for _ in "ab")]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SPARSE_CASES))
-def test_sparse_edge_degree_takes_the_set_loop(monkeypatch, case):
-    h, degree, labels = SPARSE_CASES[case]
-    assert (h.n + 1) * h.m > 512 * sum(map(len, h.edges))
-    monkeypatch.setattr(_kernels_py, "_edge_degree_by_masks", None)  # a call would raise
-    assert twin_results(h) == (degree, labels)
-    assert (h.max_edge_degree, h.connected) == (degree, case == "long cycle")
 
 
 def test_components_of_built_edges_skip_the_flat_layout():
