@@ -16,7 +16,7 @@ pure backend.
 The searches and the edge passes take their edges as flatten() packs
 them. The wrappers check array lengths; every C entry point checks the
 ids and offsets it reads itself, and its wrapper raises ValueError when
-one is out of range, as flatten does for an id past C int range. The
+one is out of range, as flatten and _int_array do past C int range. The
 solve wrapper keeps allowed degrees in 0..m, which fit a C int, and C
 ignores those past deg(v), which no search can meet. Numbers the search
 cannot tell from a smaller one (a budget past 2**63 - 1, more colors than
@@ -172,8 +172,12 @@ def parse_edges(data: bytes, n: int, m: int, start: int = 0) -> tuple[array, arr
 
 
 def _int_array(values: Iterable[int]) -> array:
-    """``values`` as a C int array, itself when it already is one."""
-    return values if isinstance(values, array) and values.typecode == "i" else array("i", values)
+    """``values`` as a C int array, itself when it already is one. Raises
+    ValueError for a value past C int range."""
+    try:
+        return values if isinstance(values, array) and values.typecode == "i" else array("i", values)
+    except OverflowError:
+        raise ValueError("a value past C int range") from None
 
 
 def flatten(edges: Sequence[Sequence[int]]) -> tuple[array, array]:
@@ -226,7 +230,7 @@ def scan_edges(flat: tuple[Sequence[int], Sequence[int]], colors: Sequence[int],
 
     try:
         failed = scan(_int_array(colors))
-    except OverflowError:  # a color past C int range
+    except ValueError:  # a color past C int range
         failed = _BADCOLOR
     if failed == _BADCOLOR:  # only equality matters: renumber densely
         rank = {c: i for i, c in enumerate(dict.fromkeys(colors))}

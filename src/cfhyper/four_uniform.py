@@ -19,15 +19,7 @@ from itertools import chain
 
 from .exact_cf import chi_cf_exact
 from .greedy import peel_then_solve
-from .model import (
-    Hypergraph,
-    HypergraphError,
-    _bfs,
-    _incidence_rows,
-    _induced,
-    primal_adjacency,
-    remove_vertices,
-)
+from .model import Hypergraph, HypergraphError, _bfs, _incidence_rows, _induced
 from .verify import Coloring
 
 
@@ -100,11 +92,6 @@ def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:
     return EdgePath(seq, tail)
 
 
-def _keeps_connected(h: Hypergraph, removed: frozenset[int]) -> bool:
-    shrunk, _ = remove_vertices(h, removed)
-    return shrunk.connected
-
-
 def safe_separator(h: Hypergraph) -> Separator:
     """An edge and all-but-one of its vertices whose removal keeps the
     hypergraph connected.
@@ -122,7 +109,9 @@ def safe_separator(h: Hypergraph) -> Separator:
     universally (removing the host's other vertices can also cut edges
     that reach edge 1 only through them), hence the verified walk down
     the list, which goes on, as a last resort, to every (edge, kept
-    vertex) choice not tried yet.
+    vertex) choice not tried yet. A candidate keeps the rest connected when
+    a breadth-first search of h's primal graph from the kept vertex, never
+    entering the removed ones, reaches every other vertex.
     With a single edge, everything but its largest vertex is removed.
     """
     if h.m < 1:
@@ -158,7 +147,7 @@ def safe_separator(h: Hypergraph) -> Separator:
             continue
         tried.add((f, v))
         removed = frozenset(w for w in h.edge(f) if w != v)
-        if _keeps_connected(h, removed):
+        if len(_bfs(h.primal_adjacency, v, removed)[0]) == h.n - len(removed):
             return Separator(f, removed, v)
 
     raise AnomalyError(
@@ -173,8 +162,7 @@ def elimination_ordering(h: Hypergraph, sep: Separator) -> EliminationOrdering:
     hypergraph rooted at the kept vertex, so each vertex's BFS parent comes
     later. Its primal graph is h's without the removed vertices.
     """
-    adj = [[w for w in row if w not in sep.removed] for row in primal_adjacency(h)]
-    visit, _ = _bfs(adj, sep.kept)
+    visit, _ = _bfs(h.primal_adjacency, sep.kept, sep.removed)
     if len(visit) != h.n - len(sep.removed):
         raise HypergraphError("ordering requires the shrunk hypergraph connected")
     return EliminationOrdering((*sorted(sep.removed), *reversed(visit)))

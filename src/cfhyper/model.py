@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
-from typing import Iterable, NoReturn, Sequence
+from typing import AbstractSet, Iterable, NoReturn, Sequence
 
 from . import _kernels_py, kernels
 
@@ -31,10 +31,10 @@ class Hypergraph:
     ``m``, the statistics ``max_degree``, ``uniform_r``, ``regular_a``,
     ``connected`` and ``max_edge_degree`` (see HypergraphStats; the last,
     a kernels.edge_degree pass, costs the most), the ``components`` behind
-    ``connected``, the ``flat`` edge layout and the ``incidence`` are lazy:
-    computed on first read, cached outside the fields that equality and
-    hashing compare, and never stale, as a Hypergraph is immutable. So are
-    the ``edges`` of a _trusted Hypergraph.
+    ``connected``, the ``flat`` edge layout, the ``incidence`` and the
+    ``primal_adjacency`` are lazy: computed on first read, cached outside
+    the fields that equality and hashing compare, and never stale, as a
+    Hypergraph is immutable. So are the ``edges`` of a _trusted Hypergraph.
     """
 
     n: int
@@ -132,6 +132,21 @@ class Hypergraph:
         return len(self.components) <= 1
 
     @cached_property
+    def primal_adjacency(self) -> list[list[int]]:
+        """Vertex adjacency of the primal graph: co-membership in some edge.
+
+        Entry 0 is a placeholder; entry v is the sorted neighbor list of v.
+        Every reader gets the same cached lists, so none may change them.
+        """
+        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
+        for edge in self.edges:
+            for i, v in enumerate(edge):
+                for w in edge[i + 1:]:
+                    adj[v].add(w)
+                    adj[w].add(v)
+        return [sorted(s) for s in adj]
+
+    @cached_property
     def max_edge_degree(self) -> int:
         """For the worst edge, the other edges sharing a vertex with it."""
         return kernels.edge_degree(self.n + 1, self.flat, self.incidence)
@@ -199,20 +214,6 @@ class HypergraphStats:
     connected: bool
 
 
-def primal_adjacency(h: Hypergraph) -> list[list[int]]:
-    """Vertex adjacency of the primal graph: co-membership in some edge.
-
-    Entry 0 is a placeholder; entry v is the sorted neighbor list of v.
-    """
-    adj: list[set[int]] = [set() for _ in range(h.n + 1)]
-    for edge in h.edges:
-        for i, v in enumerate(edge):
-            for w in edge[i + 1:]:
-                adj[v].add(w)
-                adj[w].add(v)
-    return [sorted(s) for s in adj]
-
-
 def _reject_edge(idx: int, edge: tuple[int, ...], n: int) -> NoReturn:
     """Raise the HypergraphError for the first fault of an invalid edge."""
     if not edge:
@@ -229,19 +230,21 @@ def _reject_edge(idx: int, edge: tuple[int, ...], n: int) -> NoReturn:
     raise AssertionError(f"edge {idx} is valid")
 
 
-def _bfs(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
+def _bfs(adj: list[list[int]], source: int,
+         avoid: AbstractSet[int] = frozenset()) -> tuple[list[int], list[int]]:
     """Breadth-first search over an adjacency list (an unused entry 0,
     as for 1-based vertices, stays unreached).
 
-    Returns the visit order from ``source`` and the hop distance of every
-    index (-1 when unreached).
+    No vertex of ``avoid`` is ever entered, so the search runs on the graph
+    with those vertices deleted. Returns the visit order from ``source`` and
+    the hop distance of every index (-1 when unreached).
     """
     dist = [-1] * len(adj)
     dist[source] = 0
     order = [source]
     for x in order:  # the visit order doubles as the queue
         for y in adj[x]:
-            if dist[y] < 0:
+            if dist[y] < 0 and y not in avoid:
                 dist[y] = dist[x] + 1
                 order.append(y)
     return order, dist

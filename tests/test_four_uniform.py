@@ -115,12 +115,14 @@ def test_separator_walks_past_a_disconnecting_candidate(monkeypatch):
 
     h = connected_4uniform_corpus(count=500)[188]
     checked = []
+    bfs = fu._bfs
 
-    def keeps_connected(host, removed):
-        checked.append(removed)
-        return remove_vertices(host, removed)[0].connected
+    def recording_bfs(adj, source, avoid=frozenset()):
+        if avoid:  # a candidate's connectivity check
+            checked.append(avoid)
+        return bfs(adj, source, avoid)
 
-    monkeypatch.setattr(fu, "_keeps_connected", keeps_connected)
+    monkeypatch.setattr(fu, "_bfs", recording_bfs)
     sep = safe_separator(h)
     assert len(checked) >= 2
     assert not remove_vertices(h, checked[0])[0].connected
@@ -129,6 +131,23 @@ def test_separator_walks_past_a_disconnecting_candidate(monkeypatch):
     assert sep.removed < set(h.edge(sep.host_edge))
     assert sep.kept in h.edge(sep.host_edge)
     assert remove_vertices(h, sep.removed)[0].connected
+
+
+def test_three_coloring_builds_no_hypergraph(monkeypatch):
+    # the separator's candidates and the ordering both read h's cached
+    # primal graph, so no shrunk copy is built
+    corpus = connected_4uniform_corpus(count=500)
+    built = []
+    post_init = Hypergraph.__post_init__
+
+    def counting_post_init(h):
+        built.append(h.n)
+        post_init(h)
+
+    monkeypatch.setattr(Hypergraph, "__post_init__", counting_post_init)
+    for h in corpus:
+        three_color_4uniform(h)
+    assert built == []
 
 
 def test_elimination_ordering_single_edge():

@@ -505,6 +505,11 @@ BAD_INPUT_CALLS = [
     lambda k: k.components(2, ([0, 2, 1], [0, 1])),
     lambda k: k.components(2, ([0, 3], [0, 1])),
     lambda k: k.components(-1, ([0], [])),
+    lambda k: k.incidence(2, ([0, 1], [2**31])),
+    lambda k: k.components(2, ([0, 1], [2**31])),
+    lambda k: k.edge_degree(2, ([0, 1], [2**31]), ([0, 1, 1], [0])),
+    lambda k: k.scan_edges(([0, 1], [2**31]), [1, 1], 0, 0),
+    lambda k: k.scan_edges(([0, 1], [0]), [1, 1], 0, 0, [2**31]),
 ]
 
 
