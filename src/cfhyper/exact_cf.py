@@ -40,7 +40,7 @@ a path, and without the free U first they grow as n^1.58 on a tree of
 triangles. Once a call has created _PARTS_PER_VERTEX parts per vertex,
 every part asked is searched whole. The separating edges are the edge
 nodes that are cut vertices of the vertex-edge incidence graph. Each
-part finds its splits once per call and keeps its answers across
+part finds its splits once per call and keeps its witness across
 palettes.
 
 A conflict-free witness is composed from the parts' witnesses: in every
@@ -100,14 +100,14 @@ class _Side:
 
 @dataclass(eq=False)
 class _Part:
-    """An instance met in the split, connected or not, with what is known
-    of it: the largest palette that fails and the smallest that works,
-    with its witness (colors of vertices 1..n)."""
+    """An instance met in the split, connected or not, and its witness
+    (colors of vertices 1..n) once a palette works. A part is asked at
+    strictly rising palettes, k or, as a side with |S_i| >= k, k - 1; so
+    no failed palette is asked again, nor one below the witness's."""
 
     h: Hypergraph
     depth: int
-    fails: int = 0
-    works: tuple[int, tuple[int, ...]] | None = None
+    works: tuple[int, ...] | None = None
     components: list[tuple[tuple[int, ...], _Part]] | None = None  # when not connected
     splits: list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None = None  # see _splits
     built: dict[tuple[int, ...], _Split] = field(default_factory=dict)
@@ -145,7 +145,6 @@ def _splits(h: Hypergraph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     # when its node is a cut vertex of this graph
     pairs = [(v, n + 1 + i) for i, e in enumerate(h.edges) for v in e]
     blocks, _, cuts = _biconnected_blocks(n + h.m, pairs)
-    blocks.sort()  # by first edge, which roots the tree and breaks ties
     if max(cuts, default=0) <= n:
         return []
     # the block-cut tree: block b is node b, cut vertex c node nb + c
@@ -166,7 +165,9 @@ def _splits(h: Hypergraph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     below = [0] * len(adj)  # vertices of h at each tree node, then in its subtree
     for v in range(1, n + 1):
         below[nb + v if v in cuts else home[v]] += 1
-    order, dist = _bfs(adj, 0)
+    # rooted at the block of edge 0, listed last. The root only orders
+    # ties below, and tied nodes that are not edge nodes share one core
+    order, dist = _bfs(adj, nb - 1)
     for x in reversed(order):
         for y in adj[x]:
             if dist[y] < dist[x]:
@@ -190,16 +191,13 @@ def _splits(h: Hypergraph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]
     # ties go to an edge node, whose single-edge split is ranked already
     x = min(order, key=lambda x: (max(pieces(x)), x < nb + n + 1))
     if x < nb + n + 1:
+        # the core's tree nodes; an edge node next to them touches just one
+        region = _bfs(adj, x, range(nb + n + 1, len(adj)))[0]
         hanging = []  # per separating edge met: its cap, index, sizes beyond
-        seen, region = {x}, [x]  # region: the tree nodes of the core
         for y in region:
             for z in adj[y]:
-                if z in seen:
-                    continue
-                seen.add(z)
                 if z <= nb + n:
-                    region.append(z)
-                    continue
+                    continue  # in the region
                 c = z - nb
                 out = [(touches[b, c], size)
                        for b, size in zip(adj[z], pieces(z)) if b != y]
@@ -262,16 +260,9 @@ class _ConflictFree:
         return None if found is None else Coloring(found)
 
     def _colorable(self, part: _Part, k: int) -> tuple[int, ...] | None:
-        if part.works is not None and k >= part.works[0]:
-            return part.works[1]
-        if k <= part.fails:
-            return None
-        found = self._decide(part, k)
-        if found is None:
-            part.fails = k
-        else:
-            part.works = (k, found)
-        return found
+        if part.works is None:
+            part.works = self._decide(part, k)
+        return part.works
 
     def _decide(self, part: _Part, k: int) -> tuple[int, ...] | None:
         h = part.h

@@ -249,10 +249,10 @@ def find_ab_factor(
     not refute, and charges one node per test; on g_tr(t, r) it excludes
     the hub degrees the paper's counting argument excludes and refutes the
     graph before any kernel query. The second sweep asks the kernel,
-    except for degrees the first sweep refuted and queries the test
-    refutes once child results have narrowed an allowed set (one node
-    each). Only unsolvable queries are skipped, so witnesses and verdicts
-    are those of the kernel alone.
+    except for degrees the first sweep refuted and queries the test,
+    asked again first, refutes once child results have narrowed an
+    allowed set (one node each). Only unsolvable queries are skipped, so
+    witnesses and verdicts are those of the kernel alone.
 
     The witness is each root block's first solution. Top-down, each cut
     vertex then takes target a if its child blocks can make up the
@@ -303,51 +303,47 @@ def find_ab_factor(
     child_sum: dict[int, set[int]] = {}  # sumset of child contributions per cut
 
     def sweep(ask: Callable[..., Any]) -> list[dict[int, Any]] | None:
-        """Per block, bottom-up, the answers of ask(bi, d, allowed_at,
-        narrowed) that are not None, keyed by the degree d of the parent
-        cut vertex (0 for a root); narrowed tells whether an allowed set
-        is smaller than in the sweep before. None as soon as a block has
-        no answer or a cut vertex no degree its child blocks suit."""
+        """Per block, bottom-up, the answers of ask(bi, d, allowed_at) that
+        are not None, keyed by the degree d of the parent cut vertex (0 for
+        a root); each other cut vertex is allowed the degrees its child
+        blocks' answers complete to a or b. None as soon as a block has no
+        answer or a cut vertex no degree its child blocks suit."""
         found: list[dict[int, Any]] = []
         for bi, blk in enumerate(blocks):
             allowed_at: dict[int, Iterable[int]] = {}
-            narrowed = False
             for c in blk.cut_vertices:
                 if c == blk.parent_cut:
                     continue
                 sums = _sumset([found[k].keys() for k in child_blocks[c]], b)
-                narrowed = narrowed or child_sum.get(c) != sums
                 child_sum[c] = sums
                 top = blk.degree(c)
                 allowed_at[c] = {t - s for t in (a, b) for s in sums if 0 <= t - s <= top}
                 if not allowed_at[c]:
                     return None
             if not blk.parent_cut:
-                answers = {0: ask(bi, 0, allowed_at, narrowed)}
+                answers = {0: ask(bi, 0, allowed_at)}
             else:
                 answers = {}
                 for d in range(min(blk.degree(blk.parent_cut), b) + 1):
                     allowed_at[blk.parent_cut] = (d,)
-                    answers[d] = ask(bi, d, allowed_at, narrowed)
+                    answers[d] = ask(bi, d, allowed_at)
             found.append({d: ans for d, ans in answers.items() if ans is not None})
             if not found[bi]:
                 return None
         return found
 
-    def relaxed(bi: int, d: int, allowed_at: dict[int, Iterable[int]],
-                narrowed: bool) -> bool | None:
+    def relaxed(bi: int, d: int, allowed_at: dict[int, Iterable[int]]) -> bool | None:
         refuted = blocks[bi].refuted(allowed_at)
         charge(1)
         return None if refuted else True
 
-    def solve(bi: int, d: int, allowed_at: dict[int, Iterable[int]],
-              narrowed: bool) -> list[int] | None:
+    def solve(bi: int, d: int, allowed_at: dict[int, Iterable[int]]) -> list[int] | None:
         if d not in possible[bi]:
             return None  # refuted, and charged, in the first sweep
         blk = blocks[bi]
-        # the first sweep's test passed this query; it can only fail now
-        # if an allowed set has shrunk since
-        if narrowed and blk.refuted(allowed_at):
+        # the first sweep's test passed this query, so it fails only once
+        # child results have narrowed an allowed set
+        if blk.refuted(allowed_at):
             charge(1)
             return None
         status, sel, spent = kernels.solve_degree_constrained(

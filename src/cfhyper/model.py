@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
-from typing import AbstractSet, Iterable, NoReturn, Sequence
+from typing import Container, Iterable, NoReturn, Sequence
 
 from . import _kernels_py, kernels
 
@@ -231,7 +231,7 @@ def _reject_edge(idx: int, edge: tuple[int, ...], n: int) -> NoReturn:
 
 
 def _bfs(adj: list[list[int]], source: int,
-         avoid: AbstractSet[int] = frozenset()) -> tuple[list[int], list[int]]:
+         avoid: Container[int] = frozenset()) -> tuple[list[int], list[int]]:
     """Breadth-first search over an adjacency list (an unused entry 0,
     as for 1-based vertices, stays unreached).
 

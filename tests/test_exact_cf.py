@@ -30,6 +30,7 @@ from cfhyper.constructions import (
 from cfhyper import exact_cf, kernels
 from cfhyper.cli import main
 from cfhyper.exact_cf import _splits
+from cfhyper.model import _induced
 from cfhyper.kernels import available_backends
 
 from corpus import fano_plane, octahedron, small_corpus
@@ -328,14 +329,18 @@ def test_split_agrees_with_plain_kernel(monkeypatch, backend):
     assert split >= 450 and capped >= 300 and cored >= 300, (split, capped, cored)
 
 
+def _digest_corpus() -> list[Hypergraph]:
+    """The 750 instances the golden digest is taken over."""
+    rng, hung = random.Random(1618), random.Random(1729)
+    corpus = [_glued(rng, 14, 14) for _ in range(400)]
+    return corpus + [_hung(hung) for _ in range(200)] + list(small_corpus())
+
+
 def test_chi_cf_exact_matches_golden_digest():
     # the values were recorded before 2-regular uniform parts went to the
     # factor duality, the witnesses and kernel nodes after
-    rng, hung = random.Random(1618), random.Random(1729)
-    corpus = [_glued(rng, 14, 14) for _ in range(400)]
-    corpus += [_hung(hung) for _ in range(200)] + list(small_corpus())
     digest, values = hashlib.sha256(), hashlib.sha256()
-    for h in corpus:
+    for h in _digest_corpus():
         res = chi_cf_exact(h)
         digest.update(repr((res.chi_cf, res.witness.colors, res.nodes)).encode())
         values.update(repr(res.chi_cf).encode())
@@ -344,6 +349,46 @@ def test_chi_cf_exact_matches_golden_digest():
         "9c1490ce84472524853a7ee514cfa9e641a164486d5eca6ad424478828e92bef")
     assert digest.hexdigest() == (
         "bf3f4386ad5efdfbcdc915e9e961206605d3ee35f8f571d1328d1b9a7293f16c")
+
+
+def test_parts_are_asked_at_rising_palettes(monkeypatch):
+    # a part keeps only its witness: it must never be asked again at a
+    # palette that failed, nor below the one its witness answered. Every
+    # ask is recorded, also those the witness answers without a search
+    asked: dict[exact_cf._Part, list[int]] = {}
+    colorable = exact_cf._ConflictFree._colorable
+
+    def recorded(self, part: exact_cf._Part, k: int) -> tuple[int, ...] | None:
+        asked.setdefault(part, []).append(k)
+        return colorable(self, part, k)
+
+    monkeypatch.setattr(exact_cf._ConflictFree, "_colorable", recorded)
+    for h in _digest_corpus() + [gap_nested(6), two_cliques(8), k4e_gadget(20)]:
+        chi_cf_exact(h)
+        for k in range(1, h.max_degree + 2):
+            cf_colorable(h, k)
+    assert len(asked) > 20000 and sum(len(ks) > 1 for ks in asked.values()) > 500
+    assert all(a < b for ks in asked.values() for a, b in zip(ks, ks[1:]))
+
+
+def test_splits_ignore_the_order_of_the_non_root_blocks(monkeypatch):
+    # the tree is rooted at the last block, which holds edge 0; where
+    # the others are listed moves neither the ranking nor its ties
+    parts = [p for h in _digest_corpus() for p in _induced(h, h.components) if p.n > 1]
+    assert len(parts) == 875
+    expected = [_splits(p) for p in parts]
+    rng = random.Random(31)
+    blocks = exact_cf._biconnected_blocks
+
+    def shuffled(n, pairs):
+        found, hangs, cuts = blocks(n, pairs)
+        below = list(zip(found, hangs))[:-1]
+        rng.shuffle(below)
+        return [b for b, _ in below] + found[-1:], [c for _, c in below] + hangs[-1:], cuts
+
+    monkeypatch.setattr(exact_cf, "_biconnected_blocks", shuffled)
+    for _ in range(3):
+        assert [_splits(p) for p in parts] == expected
 
 
 @pytest.mark.parametrize("h, value", [

@@ -193,19 +193,44 @@ def _cut_heavy(rng):
     return Hypergraph.from_edges(n, edges)
 
 
+def _digest_queries():
+    """The 1,818 (graph, a, b) queries the golden digest is taken over."""
+    rng = random.Random(2718)
+    graphs = [_cut_heavy(rng) for _ in range(300)]
+    for g in graphs + [ring_of_k4(5), octahedron(), petersen()]:
+        for a, b in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (1, 4)]:
+            yield g, a, b
+
+
 def test_factor_witnesses_match_golden_digest():
     # recorded from the earlier code, in which find_ab_factor oriented each
     # block-cut tree by a breadth-first search of its own; 680 of the 1,818
     # queries have a factor
-    rng = random.Random(2718)
-    graphs = [_cut_heavy(rng) for _ in range(300)]
     digest = hashlib.sha256()
-    for g in graphs + [ring_of_k4(5), octahedron(), petersen()]:
-        for a, b in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (1, 4)]:
-            f = find_ab_factor(g, a, b)
-            digest.update(repr(None if f is None else sorted(f.selected)).encode())
+    for g, a, b in _digest_queries():
+        f = find_ab_factor(g, a, b)
+        digest.update(repr(None if f is None else sorted(f.selected)).encode())
     assert digest.hexdigest() == (
         "56cdeda90c8d2c34dedc0cc3d085f333791572c8ffc760869f8a0461084974e3")
+
+
+@pytest.mark.parametrize("backend", sorted(kernels.available_backends()))
+def test_factor_kernel_effort_on_the_digest_queries(monkeypatch, backend):
+    # the witnesses alone would let a change send extra, unsolvable
+    # queries to the kernel; every backend explores the same nodes
+    solve = kernels.available_backends()[backend].solve_degree_constrained
+    calls = nodes = 0
+
+    def counted(*args):
+        nonlocal calls, nodes
+        status, sel, spent = solve(*args)
+        calls, nodes = calls + 1, nodes + spent
+        return status, sel, spent
+
+    monkeypatch.setattr(kernels, "solve_degree_constrained", counted)
+    for g, a, b in _digest_queries():
+        find_ab_factor(g, a, b)
+    assert (calls, nodes) == (7889, 5313)
 
 
 def test_isolated_vertex_means_none():
