@@ -14,12 +14,14 @@ colors optimally; it decides 2-regular parts by the factor duality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable, Sequence
 
 from .exact_cf import chi_cf_exact
 from .greedy import peel_then_solve
-from .model import Hypergraph, HypergraphError, _bfs, _incidence_rows, _induced
+from .model import Hypergraph, HypergraphError, _incidence_rows, _induced
 from .verify import Coloring
 
 
@@ -60,11 +62,26 @@ class EliminationOrdering:
     order: tuple[int, ...]
 
 
-def _edge_adjacency(h: Hypergraph) -> list[list[int]]:
-    """Sorted 1-based adjacency between edges sharing a vertex (entry 0 unused)."""
-    rows = _incidence_rows(h)
-    near = (set().union(*map(rows.__getitem__, edge)) - {e} for e, edge in enumerate(h.edges))
-    return [[], *([f + 1 for f in sorted(fs)] for fs in near)]
+def _edge_distances(edges: Sequence[Sequence[int]], rows: list[list[int]], source: int,
+                    avoid: Iterable[int] = ()) -> list[int]:
+    """Edge-intersection hop distance from 0-based edge source to each edge (-1: unreached),
+    through no vertex of avoid. Each vertex's row is read once, from the first, and so
+    nearest, edge that reaches the vertex."""
+    dist = [-1] * len(edges)
+    dist[source] = 0
+    fresh = [True] * len(rows)
+    for w in avoid:
+        fresh[w] = False
+    queue = [source]
+    for e in queue:  # the visit order doubles as the queue
+        for v in edges[e]:
+            if fresh[v]:
+                fresh[v] = False
+                for g in rows[v]:
+                    if dist[g] < 0:
+                        dist[g] = dist[e] + 1
+                        queue.append(g)
+    return dist
 
 
 def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:
@@ -78,18 +95,17 @@ def edge_distance(h: Hypergraph, e: int, f: int) -> EdgePath | None:
     h.edge(f)
     if e == f:
         return EdgePath((e,), None)
-    adj = _edge_adjacency(h)
-    _, dist_to_f = _bfs(adj, f)
-    if dist_to_f[e] < 0:
+    edges, rows = h.edges, _incidence_rows(h)
+    dist_to_f = _edge_distances(edges, rows, f - 1)
+    if dist_to_f[e - 1] < 0:
         return None
-    path = [e]
-    cur = e
-    while cur != f:
-        cur = next(y for y in adj[cur] if dist_to_f[y] == dist_to_f[cur] - 1)
-        path.append(cur)
-    seq = tuple(path)
-    tail = len(set(h.edge(seq[-2])) & set(h.edge(seq[-1])))
-    return EdgePath(seq, tail)
+    path, cur = [e], e - 1
+    while cur != f - 1:
+        closer = dist_to_f[cur] - 1
+        cur = min(g for v in edges[cur] for g in rows[v] if dist_to_f[g] == closer)
+        path.append(cur + 1)
+    tail = len(set(edges[path[-2] - 1]) & set(edges[path[-1] - 1]))
+    return EdgePath(tuple(path), tail)
 
 
 def safe_separator(h: Hypergraph) -> Separator:
@@ -110,8 +126,9 @@ def safe_separator(h: Hypergraph) -> Separator:
     that reach edge 1 only through them), hence the verified walk down
     the list, which goes on, as a last resort, to every (edge, kept
     vertex) choice not tried yet. A candidate keeps the rest connected when
-    a breadth-first search of h's primal graph from the kept vertex, never
-    entering the removed ones, reaches every other vertex.
+    the same search from the host, never through a removed vertex, reaches
+    every edge: as h is uniform, each edge keeps a vertex, and each vertex
+    lies in an edge. Both searches read h's incidence rows, not a graph.
     With a single edge, everything but its largest vertex is removed.
     """
     if h.m < 1:
@@ -125,30 +142,27 @@ def safe_separator(h: Hypergraph) -> Separator:
         edge = h.edge(1)
         return Separator(1, frozenset(edge[:-1]), edge[-1])
 
-    adj = _edge_adjacency(h)
-    _, dist = _bfs(adj, 1)
+    edges, rows = h.edges, _incidence_rows(h)
+    dist = _edge_distances(edges, rows, 0)
     far = max(dist)
     candidates: list[tuple[int, int, int, int]] = []
-    for f in range(1, h.m + 1):
+    for f, edge in enumerate(edges):
         if dist[f] != far:
             continue
-        fset = set(h.edge(f))
-        for g in adj[f]:
-            if dist[g] != far - 1:
-                continue
-            shared = sorted(set(h.edge(g)) & fset)
-            candidates.extend((len(shared), f, g, v) for v in shared)
+        closer = [(g, v) for v in edge for g in rows[v] if dist[g] == far - 1]
+        tails = Counter(g for g, _ in closer)
+        candidates.extend((tails[g], f, g, v) for g, v in closer)
     candidates.sort()
 
     tried: set[tuple[int, int]] = set()
-    every_pair = ((f, v) for f in range(1, h.m + 1) for v in h.edge(f))
+    every_pair = ((f, v) for f, edge in enumerate(edges) for v in edge)
     for f, v in chain(((f, v) for _, f, _, v in candidates), every_pair):
         if (f, v) in tried:
             continue
         tried.add((f, v))
-        removed = frozenset(w for w in h.edge(f) if w != v)
-        if len(_bfs(h.primal_adjacency, v, removed)[0]) == h.n - len(removed):
-            return Separator(f, removed, v)
+        removed = frozenset(w for w in edges[f] if w != v)
+        if -1 not in _edge_distances(edges, rows, f, removed):
+            return Separator(f + 1, removed, v)
 
     raise AnomalyError(
         "no connectivity-preserving separator exists inside any edge")
@@ -160,12 +174,37 @@ def elimination_ordering(h: Hypergraph, sep: Separator) -> EliminationOrdering:
 
     The middle section is the reverse breadth-first order of the shrunk
     hypergraph rooted at the kept vertex, so each vertex's BFS parent comes
-    later. Its primal graph is h's without the removed vertices.
+    later, and each vertex's unseen neighbours are visited in ascending order.
+    The separator must be h's own: a host edge in 1..m less its kept vertex.
     """
-    visit, _ = _bfs(h.primal_adjacency, sep.kept, sep.removed)
-    if len(visit) != h.n - len(sep.removed):
+    e, kept, removed = sep.host_edge, sep.kept, sep.removed
+    if not 1 <= e <= h.m:
+        raise HypergraphError(f"separator host edge {e} is outside 1..{h.m}")
+    host = h.edge(e)
+    if kept not in host:
+        raise HypergraphError(f"separator keeps vertex {kept}, not in host edge {e}")
+    if removed != set(host) - {kept}:
+        raise HypergraphError(f"separator removes {sorted(removed)}, not host edge {e} less {kept}")
+    edges, rows = h.edges, _incidence_rows(h)
+    seen = [False] * (h.n + 1)
+    for w in host:
+        seen[w] = True
+    unread = [True] * len(edges)  # once read, all of an edge's vertices are seen
+    visit = [kept]
+    for x in visit:
+        fresh = []
+        for g in rows[x]:
+            if unread[g]:
+                unread[g] = False
+                for y in edges[g]:
+                    if not seen[y]:
+                        seen[y] = True
+                        fresh.append(y)
+        fresh.sort()
+        visit += fresh
+    if len(visit) != h.n - len(removed):
         raise HypergraphError("ordering requires the shrunk hypergraph connected")
-    return EliminationOrdering((*sorted(sep.removed), *reversed(visit)))
+    return EliminationOrdering((*sorted(removed), *reversed(visit)))
 
 
 def three_color_4uniform(h: Hypergraph) -> Coloring:
@@ -185,31 +224,32 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
         raise HypergraphError(
             f"three-coloring requires max degree <= 3, got {h.max_degree}")
     sep = safe_separator(h)
-    ordering = elimination_ordering(h, sep)
-    pos = {v: i for i, v in enumerate(ordering.order, start=1)}
-    n = h.n
+    order = elimination_ordering(h, sep).order
+    n, edges = h.n, h.edges
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order, start=1):
+        pos[v] = i
 
     closing: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, edge in enumerate(h.edges, start=1):
-        last = max(edge, key=pos.__getitem__)
-        closing[pos[last]].append(idx)
+    for idx, edge in enumerate(edges, start=1):
+        closing[max(map(pos.__getitem__, edge))].append(idx)
 
     if sep.host_edge not in closing[n]:
         raise AnomalyError("host edge does not close at the kept vertex")
+    closing[n].remove(sep.host_edge)  # its other vertices hold 1, 2 and 3
 
-    colors = [0] * (h.n + 1)
-    for i, v in enumerate(ordering.order[:3], start=1):
+    colors = [0] * (n + 1)
+    for i, v in enumerate(order[:3], start=1):
         colors[v] = i
     for j in range(4, n + 1):
-        v = ordering.order[j - 1]
-        constraining = [e for e in closing[j] if not (j == n and e == sep.host_edge)]
-        if len(constraining) > 2:
+        v = order[j - 1]
+        if len(closing[j]) > 2:
             raise AnomalyError(
-                f"vertex {v} closes {len(constraining)} edges; the ordering "
+                f"vertex {v} closes {len(closing[j])} edges; the ordering "
                 "guarantees at most two")
         banned = set()
-        for e in constraining:
-            rest = [colors[w] for w in h.edge(e) if w != v]
+        for e in closing[j]:
+            rest = [colors[w] for w in edges[e - 1] if w != v]
             if len(rest) != 3 or 0 in rest:
                 raise AnomalyError(f"edge {e} closed before its other vertices")
             if rest[0] == rest[1] == rest[2]:
@@ -220,7 +260,7 @@ def three_color_4uniform(h: Hypergraph) -> Coloring:
                     raise AnomalyError(
                         f"edge {e}: three non-equal colors without a unique one")
                 banned.add(min(unique))
-        colors[v] = min(c for c in (1, 2, 3) if c not in banned)
+        colors[v] = min({1, 2, 3} - banned)
     return Coloring(tuple(colors[1:]))
 
 

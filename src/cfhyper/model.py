@@ -31,10 +31,10 @@ class Hypergraph:
     ``m``, the statistics ``max_degree``, ``uniform_r``, ``regular_a``,
     ``connected`` and ``max_edge_degree`` (see HypergraphStats; the last,
     a kernels.edge_degree pass, costs the most), the ``components`` behind
-    ``connected``, the ``flat`` edge layout, the ``incidence`` and the
-    ``primal_adjacency`` are lazy: computed on first read, cached outside
-    the fields that equality and hashing compare, and never stale, as a
-    Hypergraph is immutable. So are the ``edges`` of a _trusted Hypergraph.
+    ``connected``, the ``flat`` edge layout and the ``incidence`` are lazy:
+    computed on first read, cached outside the fields that equality and
+    hashing compare, and never stale, as a Hypergraph is immutable. So are
+    the ``edges`` of a _trusted Hypergraph.
     """
 
     n: int
@@ -130,21 +130,6 @@ class Hypergraph:
     def connected(self) -> bool:
         """True when edges chain every two vertices (always for n <= 1)."""
         return len(self.components) <= 1
-
-    @cached_property
-    def primal_adjacency(self) -> list[list[int]]:
-        """Vertex adjacency of the primal graph: co-membership in some edge.
-
-        Entry 0 is a placeholder; entry v is the sorted neighbor list of v.
-        Every reader gets the same cached lists, so none may change them.
-        """
-        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for edge in self.edges:
-            for i, v in enumerate(edge):
-                for w in edge[i + 1:]:
-                    adj[v].add(w)
-                    adj[w].add(v)
-        return [sorted(s) for s in adj]
 
     @cached_property
     def max_edge_degree(self) -> int:

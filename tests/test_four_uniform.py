@@ -6,6 +6,7 @@ import pytest
 from cfhyper import (
     Hypergraph,
     HypergraphError,
+    Separator,
     characterize_4uniform,
     chi_cf_exact,
     color_4uniform,
@@ -115,14 +116,14 @@ def test_separator_walks_past_a_disconnecting_candidate(monkeypatch):
 
     h = connected_4uniform_corpus(count=500)[188]
     checked = []
-    bfs = fu._bfs
+    distances = fu._edge_distances
 
-    def recording_bfs(adj, source, avoid=frozenset()):
+    def recording_distances(edges, rows, source, avoid=()):
         if avoid:  # a candidate's connectivity check
             checked.append(avoid)
-        return bfs(adj, source, avoid)
+        return distances(edges, rows, source, avoid)
 
-    monkeypatch.setattr(fu, "_bfs", recording_bfs)
+    monkeypatch.setattr(fu, "_edge_distances", recording_distances)
     sep = safe_separator(h)
     assert len(checked) >= 2
     assert not remove_vertices(h, checked[0])[0].connected
@@ -134,8 +135,8 @@ def test_separator_walks_past_a_disconnecting_candidate(monkeypatch):
 
 
 def test_three_coloring_builds_no_hypergraph(monkeypatch):
-    # the separator's candidates and the ordering both read h's cached
-    # primal graph, so no shrunk copy is built
+    # the separator's candidates and the ordering both search h's own
+    # incidence rows and edges, so no shrunk copy is built
     corpus = connected_4uniform_corpus(count=500)
     built = []
     post_init = Hypergraph.__post_init__
@@ -155,6 +156,22 @@ def test_elimination_ordering_single_edge():
     sep = safe_separator(h)
     order = elimination_ordering(h, sep).order
     assert order == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("sep, fault", [
+    (Separator(0, frozenset({1, 2, 3}), 4), "host edge 0 is outside 1..2"),
+    (Separator(3, frozenset({4, 5, 6}), 7), "host edge 3 is outside 1..2"),
+    (Separator(2, frozenset({1, 2, 3}), 9), "keeps vertex 9, not in host edge 2"),
+    (Separator(1, frozenset({1, 2, 3}), -3), "keeps vertex -3, not in host edge 1"),
+    (Separator(1, frozenset({-1, 2, 3}), 4), r"removes \[-1, 2, 3\], not host edge 1 less 4"),
+    (Separator(1, frozenset({1, 2}), 4), r"removes \[1, 2\], not host edge 1 less 4"),
+    (Separator(1, frozenset({1, 2, 3, 4}), 4), r"removes \[1, 2, 3, 4\], not host edge 1 less 4"),
+], ids=["edge-0", "edge-past-m", "kept-outside", "kept-negative", "removed-negative",
+        "removed-too-few", "kept-removed"])
+def test_elimination_ordering_rejects_a_separator_of_another_hypergraph(sep, fault):
+    h = Hypergraph.from_edges(7, [(1, 2, 3, 4), (4, 5, 6, 7)])
+    with pytest.raises(HypergraphError, match=fault):
+        elimination_ordering(h, sep)
 
 
 def test_elimination_ordering_invariant():
@@ -238,6 +255,29 @@ def test_color_4uniform_matches_golden_digest():
         "eb2ccf1f11aba316559f02edd1ee28df546707e5b37854342301d6e530dcb02b")
     assert digest.hexdigest() == (
         "dfd4cfad9f21df29594f2776a77ff3c579b5420ca996ac3028a8c509ca8ac2e1")
+
+
+def test_separators_orderings_and_edge_paths_match_golden_digest():
+    # a different separator or edge path can still give the same coloring,
+    # so the colouring digest above does not pin these
+    corpus = connected_4uniform_corpus(count=500)
+    structure, paths = hashlib.sha256(), hashlib.sha256()
+    for h in corpus:
+        sep = safe_separator(h)
+        structure.update(repr((sep.host_edge, sorted(sep.removed), sep.kept)).encode())
+        structure.update(repr(elimination_ordering(h, sep).order).encode())
+    # pairs of corpus instances side by side, so about 2 in 5 pairs of
+    # edges are unreachable from each other
+    rng = random.Random(2525)
+    for h, g in zip(corpus[::2], corpus[1::2]):
+        both = Hypergraph(h.n + g.n, h.edges + tuple(tuple(v + h.n for v in e) for e in g.edges))
+        for _ in range(4):
+            p = edge_distance(both, rng.randint(1, both.m), rng.randint(1, both.m))
+            paths.update(repr(None if p is None else (p.edges, p.tail_size)).encode())
+    assert structure.hexdigest() == (
+        "3e169007b33b51e33b63f399971b362cc5f93d0b523d47e21ab90054a9c8ed6e")
+    assert paths.hexdigest() == (
+        "fc493f9ae91d3fa49082c3039b84b413afec148d2db73e1bea0baea27b92e500")
 
 
 def test_color_4uniform_disjoint_edges():
